@@ -1,21 +1,20 @@
-"""Single-process planning throughput: scalar vs batched planning.
+"""Single-process planning throughput of the economy engine.
 
-Times the economy engine's query hot loop on the headline workload in the
-two planning modes of ``--planning {scalar,batched}`` and records the
-results to ``BENCH_planner.json`` at the repository root:
+Times the engine's query hot loop on the headline workload, with the
+whole workload primed into the batch scheduler, and records the results
+to ``BENCH_planner.json`` at the repository root:
 
-- ``scalar``: the per-query enumerate -> price -> skyline pipeline.
-- ``batched-cold``: the vectorized fast path starting from empty plan
-  tables, so the run pays table materialisation and the vectorized
-  epoch evaluation inside the timed loop.
+- ``batched-cold``: starting from empty plan tables, so the run pays
+  table materialisation and the vectorized epoch evaluation inside the
+  timed loop.
 - ``batched-warm``: the same loop reusing the plan tables materialised by
   the cold run (the steady state of a long-lived engine).
 
 Each mode runs ``--repetitions`` times; the headline ``queries_per_s`` is
 computed from the best repetition, which is the standard way to strip
-scheduler noise from a throughput measurement. The batched runs' outcome
-streams are compared against the scalar stream step by step — the report
-refuses to claim a speedup unless the outcomes are identical.
+scheduler noise from a throughput measurement. Every repetition's outcome
+stream is compared step by step against the first cold one: reusing plan
+tables must not change a single outcome.
 
 Run on the headline workload (3000 queries, 1 s inter-arrival):
 
@@ -43,9 +42,7 @@ _SRC = os.path.join(
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.economy.engine import EconomyConfig  # noqa: E402
 from repro.planner.plan_table import PlanTableCache  # noqa: E402
-from repro.policies.economic import EconomicSchemeConfig  # noqa: E402
 from repro.system import CloudSystem  # noqa: E402
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec  # noqa: E402
 
@@ -54,25 +51,22 @@ DEFAULT_OUTPUT = os.path.join(
     "BENCH_planner.json",
 )
 
-#: (mode label, planning flag, reuse warm plan tables)
-MODES: Tuple[Tuple[str, str, bool], ...] = (
-    ("scalar", "scalar", False),
-    ("batched-cold", "batched", False),
-    ("batched-warm", "batched", True),
+#: (mode label, reuse warm plan tables)
+MODES: Tuple[Tuple[str, bool], ...] = (
+    ("batched-cold", False),
+    ("batched-warm", True),
 )
 
 
-def _run_once(system: CloudSystem, queries, planning: str,
+def _run_once(system: CloudSystem, queries,
               settlement_period_s: Optional[float], scheme_name: str,
               plan_tables: Optional[PlanTableCache] = None):
     """One timed pass over the workload; returns (elapsed, steps, scheme)."""
-    scheme = system.scheme(scheme_name, economic_config=EconomicSchemeConfig(
-        economy=EconomyConfig(planning=planning)))
-    if planning == "batched":
-        scheme.engine.prime_queries(
-            queries, settlement_period_s=settlement_period_s,
-            plan_tables=plan_tables,
-        )
+    scheme = system.scheme(scheme_name)
+    scheme.engine.prime_queries(
+        queries, settlement_period_s=settlement_period_s,
+        plan_tables=plan_tables,
+    )
     started = time.perf_counter()
     steps = [scheme.process(query) for query in queries]
     elapsed = time.perf_counter() - started
@@ -83,41 +77,38 @@ def run_benchmark(query_count: int = 3000, interarrival_s: float = 1.0,
                   seed: int = 0, settlement_period_s: float = 30.0,
                   scheme: str = "econ-cheap",
                   repetitions: int = 3) -> Dict:
-    """Time the three planning modes and assemble the report."""
+    """Time the cold and warm modes and assemble the report."""
     system = CloudSystem()
     queries = WorkloadGenerator(WorkloadSpec(
         query_count=query_count, interarrival_s=interarrival_s, seed=seed,
     )).generate()
 
     runs: List[Dict] = []
-    scalar_steps = None
+    reference_steps = None
     warm_tables: Optional[PlanTableCache] = None
     outcomes_identical = True
     best_elapsed: Dict[str, float] = {}
-    for mode, planning, reuse_tables in MODES:
+    for mode, reuse_tables in MODES:
         elapsed_reps: List[float] = []
         for _ in range(repetitions):
             tables = warm_tables if reuse_tables else None
             elapsed, steps, run_scheme = _run_once(
-                system, queries, planning, settlement_period_s, scheme,
+                system, queries, settlement_period_s, scheme,
                 plan_tables=tables,
             )
             elapsed_reps.append(elapsed)
-            if mode == "scalar":
-                if scalar_steps is None:
-                    scalar_steps = steps
-            else:
-                # The batched planner's contract: same outcomes, only
-                # faster. Never report a speedup for diverging runs.
-                if steps != scalar_steps:
-                    outcomes_identical = False
-            if planning == "batched" and warm_tables is None:
+            # Warm plan tables are a cache, not an input: every run must
+            # produce the first cold run's outcome stream.
+            if reference_steps is None:
+                reference_steps = steps
+            elif steps != reference_steps:
+                outcomes_identical = False
+            if warm_tables is None:
                 warm_tables = run_scheme.engine.plan_tables
         best = min(elapsed_reps)
         best_elapsed[mode] = best
         entry = {
             "benchmark_mode": mode,
-            "planning": planning,
             "elapsed_s": best,
             "queries_per_s": query_count / best,
             "repetition_elapsed_s": elapsed_reps,
@@ -137,10 +128,8 @@ def run_benchmark(query_count: int = 3000, interarrival_s: float = 1.0,
         "python": platform.python_version(),
         "outcomes_identical": outcomes_identical,
         "speedup": {
-            "batched_cold_vs_scalar":
-                best_elapsed["scalar"] / best_elapsed["batched-cold"],
-            "batched_warm_vs_scalar":
-                best_elapsed["scalar"] / best_elapsed["batched-warm"],
+            "batched_warm_vs_cold":
+                best_elapsed["batched-cold"] / best_elapsed["batched-warm"],
         },
         "runs": runs,
     }
@@ -156,7 +145,7 @@ def write_report(report: Dict, path: str = DEFAULT_OUTPUT) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Record scalar-vs-batched planning throughput to "
+        description="Record the engine's planning throughput to "
                     "BENCH_planner.json")
     parser.add_argument("--queries", type=int, default=3000)
     parser.add_argument("--interarrival", type=float, default=1.0)
@@ -185,9 +174,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for run in report["runs"]:
         print(f"{run['benchmark_mode']:>12}: {run['elapsed_s']:.3f}s "
               f"({run['queries_per_s']:.0f} q/s)")
-    speedup = report["speedup"]
-    print(f"speedup: cold {speedup['batched_cold_vs_scalar']:.2f}x, "
-          f"warm {speedup['batched_warm_vs_scalar']:.2f}x "
+    print(f"warm vs cold: {report['speedup']['batched_warm_vs_cold']:.2f}x "
           f"(outcomes identical: {report['outcomes_identical']})")
     print(f"report written to {path}")
     return 0

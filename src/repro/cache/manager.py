@@ -261,8 +261,9 @@ class CacheManager:
             return []
         # The horizon is a lower bound on the first time any entry can
         # fail: usage and eviction only push failure times later, and
-        # admitting a new entry clears it, so skipping the scan before the
-        # horizon cannot change which structures fail or when.
+        # adding an entry (admit, or a partition handoff's install_entry)
+        # clears it, so skipping the scan before the horizon cannot
+        # change which structures fail or when.
         if self._failure_horizon is not None and now < self._failure_horizon:
             return []
         failed: List[EvictionRecord] = []

@@ -35,10 +35,7 @@ both exceed 1. ``--placement adaptive`` additionally lets settlement
 barriers hand structure ownership to the partition deriving the most
 priced benefit (hysteresis set by ``--handoff-threshold``), adding a
 placement report section; the default ``--placement hash`` output stays
-byte-identical to earlier releases. ``--planning batched`` (figure,
-headline, scenario and tenants commands) switches the economic schemes to
-the vectorized per-template planner — a pure throughput optimisation whose
-tables are byte-identical to the default ``--planning scalar``.
+byte-identical to earlier releases.
 
 ``shocks`` runs the adversarial scenario grammar: every scheme replays
 the same grammar-composed workload twice — clean and with market shocks
@@ -70,7 +67,7 @@ from repro.distcache import (
     distcache_placement_table,
     run_partitioned_experiment,
 )
-from repro.economy.engine import PLANNING_MODES, PLANNING_SCALAR, EconomyConfig
+from repro.economy.engine import EconomyConfig
 from repro.errors import ReproError
 from repro.policies.economic import EconomicSchemeConfig
 from repro.sharding import ShardImbalanceWarning
@@ -215,12 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                          help="worker processes for the grid cells "
                               "(default: 1, sequential)")
-        sub.add_argument("--planning", choices=PLANNING_MODES,
-                         default=PLANNING_SCALAR,
-                         help="query planning path: 'scalar' plans each query "
-                              "on arrival, 'batched' scores whole per-template "
-                              "batches vectorized; the tables are "
-                              "byte-identical either way (default: scalar)")
         # Only --trace/--force here: the figure drivers' --profile is the
         # experiment profile, so the cProfile flag stays off these.
         _add_trace_arguments(sub, full=False)
@@ -251,10 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="S",
                           help="fire a scheduled structure-failure check every "
                                "S simulated seconds")
-    scenario.add_argument("--planning", choices=PLANNING_MODES,
-                          default=PLANNING_SCALAR,
-                          help="query planning path (scalar or batched; "
-                               "byte-identical outputs, default: scalar)")
     scenario.add_argument("--shock", type=_shock_spec, action="append",
                           default=[], metavar="SPEC",
                           help="inject a market shock: invalidate@FRAC"
@@ -340,11 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "challenger partition must out-bid the owner "
                               "by before an adaptive handoff is applied "
                               "(default: 0, any strictly positive margin)")
-    tenants.add_argument("--planning", choices=PLANNING_MODES,
-                         default=PLANNING_SCALAR,
-                         help="query planning path (scalar or batched; "
-                              "byte-identical tables under --shards and "
-                              "--cache-partitions too, default: scalar)")
     tenants.add_argument("--shock", type=_shock_spec, action="append",
                          default=[], metavar="SPEC",
                          help="inject a market shock into every cell: "
@@ -422,10 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=0.0, metavar="D",
                         help="adaptive-placement hysteresis margin for the "
                              "partitioned rerun (default: 0)")
-    shocks.add_argument("--planning", choices=PLANNING_MODES,
-                        default=PLANNING_SCALAR,
-                        help="query planning path (scalar or batched; "
-                             "byte-identical tables, default: scalar)")
     _add_trace_arguments(shocks)
 
     report = subparsers.add_parser(
@@ -567,8 +545,7 @@ def _scenario_command(args: argparse.Namespace,
     shocks = tuple(scenario.shocks) + tuple(args.shock)
     system = CloudSystem()
     scheme = system.scheme(args.scheme, economic_config=EconomicSchemeConfig(
-        economy=EconomyConfig(planning=args.planning,
-                              strict_maintenance=args.strict_maintenance),
+        economy=EconomyConfig(strict_maintenance=args.strict_maintenance),
     ))
     observers = []
     if trace is not None or metrics is not None:
@@ -682,7 +659,6 @@ def _tenants_command(args: argparse.Namespace,
             churn_period=args.churn_period,
             churn_fraction=args.churn_fraction,
             settlement_period_s=args.settlement_period,
-            planning=args.planning,
             shocks=tuple(args.shock),
             strict_maintenance=args.strict_maintenance,
             arrival_mode=args.arrival_mode,
@@ -753,7 +729,6 @@ def _shocks_command(args: argparse.Namespace,
             interarrival_s=args.interarrival,
             seed=args.seed,
             settlement_period_s=args.settlement_period,
-            planning=args.planning,
             shocks=grammar.shocks,
             tenant_tiers=grammar.tiers,
             strict_maintenance=args.strict_maintenance,
@@ -942,7 +917,6 @@ def _write_observability_artifacts(args: argparse.Namespace,
             shards=getattr(args, "shards", 1),
             cache_partitions=getattr(args, "cache_partitions", 1),
             placement=getattr(args, "placement", "hash"),
-            planning=args.planning,
             phase_timings_s={"run": run_s, f"emit_{kind}": emit_s},
             extra=extra,
         )
@@ -954,10 +928,7 @@ def _dispatch(args: argparse.Namespace,
               metrics) -> str:
     """Route one parsed command to its driver."""
     if args.command in ("figure4", "figure5", "headline"):
-        profile = _PROFILES[args.profile].with_overrides(
-            planning=args.planning
-        )
-        return _figure_command(args.command, profile, args.jobs,
+        return _figure_command(args.command, _PROFILES[args.profile], args.jobs,
                                trace=trace)
     if args.command == "ablation":
         return _ablation_command(args.which, args.queries)

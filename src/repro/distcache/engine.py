@@ -34,7 +34,7 @@ a documented divergence from the global-cache economy
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.costmodel.amortization import AmortizationPolicy
@@ -42,7 +42,6 @@ from repro.costmodel.build import StructureCostModel
 from repro.economy.batch import BatchPricingContext
 from repro.economy.engine import EconomyConfig, EconomyEngine, StructureBuild
 from repro.economy.negotiation import NegotiationResult
-from repro.economy.pricing import PricedPlan
 from repro.economy.tenancy import TenantRegistry
 from repro.distcache.manager import PartitionedCacheManager
 from repro.errors import DistCacheError
@@ -176,73 +175,17 @@ class PartitionedEconomyEngine(EconomyEngine):
 
     # -- remote-aware pricing --------------------------------------------------
 
-    def _price_plans(self, query: Query, now: float) -> List[PricedPlan]:
-        priced = super()._price_plans(query, now)
-        if len(self.partitioned_cache.directory) == 0:
-            return priced
-        return [self._apply_remote(plan) for plan in priced]
+    def _adjust_pricing(self, context: BatchPricingContext,
+                        now: float) -> None:
+        """Re-price plan-table rows with directory knowledge.
 
-    def _apply_remote(self, priced: PricedPlan) -> PricedPlan:
-        """Re-price one plan with directory knowledge.
-
-        Structures the base pricer classified as *new* (absent locally)
-        but which the directory advertises on another partition become
-        remote accesses: no build, no from-scratch amortisation — instead
-        the surcharge is folded into the plan's execution estimate, so
-        negotiation, charging, and regret all see the true remote price.
-        """
-        cache = self.partitioned_cache
-        remote_entries = []
-        local_new = []
-        for structure in priced.new_structures:
-            entry = cache.remote_entry(structure.key)
-            if entry is None:
-                local_new.append(structure)
-            else:
-                remote_entries.append((structure, entry))
-        if not remote_entries:
-            return priced
-
-        dollars = seconds = shipped = 0.0
-        for _, entry in remote_entries:
-            access_dollars, access_seconds, access_bytes = \
-                self._remote.surcharge(entry.size_bytes)
-            dollars += access_dollars
-            seconds += access_seconds
-            shipped += access_bytes
-        execution = priced.plan.execution
-        execution = replace(
-            execution,
-            network_bytes=execution.network_bytes + shipped,
-            network_dollars=execution.network_dollars + dollars,
-            response_time_s=execution.response_time_s + seconds,
-        )
-        plan = replace(priced.plan, execution=execution)
-        remote_keys = {structure.key for structure, _ in remote_entries}
-        amortized_by_structure = {
-            key: charge
-            for key, charge in priced.amortized_by_structure.items()
-            if key not in remote_keys
-        }
-        return PricedPlan(
-            plan=plan,
-            execution_dollars=plan.execution_dollars,
-            amortized_dollars=sum(amortized_by_structure.values()),
-            maintenance_dollars=priced.maintenance_dollars,
-            new_structures=tuple(local_new),
-            amortized_by_structure=amortized_by_structure,
-        )
-
-    def _adjust_batched_pricing(self, context: BatchPricingContext,
-                                now: float) -> None:
-        """Batched mirror of :meth:`_apply_remote`.
-
-        Rewrites plan-table rows whose missing structures are advertised
-        by the directory: the remote surcharge folds into the row's
-        execution figures and response time, the remote structures drop
-        out of the amortisation sum, and a row whose only missing
-        structures are remote counts as existing — exactly the scalar
-        re-pricing, expression for expression.
+        Structures absent locally but advertised by the directory on
+        another partition become remote accesses: no build, no
+        from-scratch amortisation. Instead the remote surcharge folds into
+        the row's execution figures and response time, the remote
+        structures drop out of the amortisation sum, and a row whose only
+        missing structures are remote counts as existing — so negotiation,
+        charging, and regret all see the true remote price.
         """
         cache = self.partitioned_cache
         if len(cache.directory) == 0:

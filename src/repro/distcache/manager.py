@@ -171,6 +171,10 @@ class PartitionedCacheManager(CacheManager):
                 f"{self._partition_index}")
         entry = self._entries.pop(key)
         self._lru.discard(key)
+        # The contents changed: memos keyed on the version (batched
+        # pricing states, the cached-column set) must not keep pricing
+        # an entry that now lives on another partition.
+        self._version += 1
         if self._trace is not None:
             self._trace.count("cache:handoff_out")
         return entry
@@ -204,6 +208,10 @@ class PartitionedCacheManager(CacheManager):
             evicted = self._evict_to_fit(entry.size_bytes, now)
         self._entries[key] = entry
         self._lru.touch(key)
+        self._version += 1
+        # Like admit: the handed-in entry may fail before the horizon the
+        # last scan computed from the local entries alone.
+        self._failure_horizon = None
         self._peak_disk_used_bytes = max(self._peak_disk_used_bytes,
                                          self.disk_used_bytes)
         if self._trace is not None:

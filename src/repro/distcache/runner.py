@@ -236,8 +236,8 @@ def run_partition_epoch(task: PartitionEpochTask) -> PartitionEpochResult:
     maintenance: List[Tuple[float, float]] = []
     eviction_losses: List[float] = []
     last_settled_s = task.last_settled_s
-    # Batched planners score the whole epoch slice in one vectorized pass;
-    # scalar schemes ignore the priming (see CachingScheme.prime_workload).
+    # Economic schemes score the whole epoch slice in one vectorized pass;
+    # the bypass scheme ignores the priming (see CachingScheme.prime_workload).
     scheme.prime_workload(tuple(
         payload for rank, payload in task.items if rank == _PRIORITY_QUERY
     ))
@@ -407,7 +407,6 @@ class DistCacheRunner:
                 config.scheme,
                 economic_config=EconomicSchemeConfig(
                     economy=EconomyConfig(
-                        planning=config.planning,
                         strict_maintenance=config.strict_maintenance,
                     ),
                     tenants=registry, engine_factory=factory),

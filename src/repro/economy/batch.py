@@ -1,4 +1,4 @@
-"""Epoch-level batch scheduling for the vectorized planning fast path.
+"""Epoch-level batch scheduling for the vectorized planner.
 
 The :class:`BatchScheduler` sits between the simulator and the engine's
 per-query pipeline: :meth:`BatchScheduler.prime` receives the upcoming
@@ -8,14 +8,17 @@ engine asks for the first query of an unevaluated epoch, every template's
 batch across as many consecutive epochs as fit in the memory bound is
 scored in one vectorized pass
 (:func:`repro.costmodel.vectorized.evaluate_plan_table`) and the per-query
-results are handed out as the queries arrive.
+results are handed out as the queries arrive. A query nobody primed (a
+streamed arrival, a direct ``process_query`` call, a query id seen twice)
+is scored on demand as a one-query block, leaving the primed window as it
+is.
 
 Only *execution estimates* are precomputed this way — they depend on the
 query instance and the immutable cost model alone, never on cache state,
 so scoring ahead of time is exact. Pricing against the mutable cache
 (amortisation charges, accrued maintenance, what is built) stays strictly
-per-query inside the engine, which is how the batched path keeps outcomes
-bit-for-bit identical to scalar processing.
+per-query inside the engine, so outcomes do not depend on how arrivals
+were grouped into blocks.
 
 Evaluated blocks are dropped as soon as their last query is consumed, so
 a scheduler that has drained an epoch holds no numpy arrays — relevant in
@@ -30,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.costmodel.execution import ExecutionCostModel
 from repro.costmodel.vectorized import BatchPlanEstimates, evaluate_plan_table
+from repro.errors import PlanningError
 from repro.planner.enumerator import PlanEnumerator
 from repro.planner.plan_table import PlanTable, PlanTableCache
 from repro.workload.query import Query
@@ -41,9 +45,9 @@ DEFAULT_MAX_BATCH_SIZE = 4096
 
 @dataclass
 class BatchPricingContext:
-    """Mutable per-query pricing state of the batched planner.
+    """Mutable per-query pricing state of the planner.
 
-    Built by the engine's batched pricing pass and handed to the
+    Built by the engine's pricing pass and handed to the
     remote-adjustment hook (the partitioned engine rewrites rows whose new
     structures are remotely advertised) before skyline selection and
     materialisation. All per-row lists are indexed by plan-table row;
@@ -159,25 +163,30 @@ class BatchScheduler:
         self._remaining = 0
 
     def view_for(self, query: Query
-                 ) -> Optional[Tuple[PlanTable, BatchPlanEstimates, int]]:
-        """The evaluated batch view of ``query``, or ``None`` to fall back.
+                 ) -> Tuple[PlanTable, BatchPlanEstimates, int]:
+        """The evaluated view of ``query``: its table, estimates and column.
 
-        Each primed query is handed out exactly once; asking again (or
-        asking for an unprimed query) returns ``None`` and the engine runs
-        its scalar path, which is outcome-identical by construction.
+        Each primed query is handed its column of the primed window once.
+        Asking again, or asking for a query that was never primed,
+        evaluates it on its own as a one-query block without touching the
+        primed window; the estimates are the same either way.
+
+        Raises:
+            PlanningError: if the query's template name is cached with a
+                different shape (predicate count or fact table).
         """
         epoch = self._epoch_of.pop(query.query_id, None)
         if epoch is None:
-            return None
+            return self._evaluate_single(query)
         if epoch > self._window_end:
             self._evaluate_window(epoch)
         entry = self._columns.pop(query.query_id, None)
         if entry is None:
-            return None
+            # Primed, but its window was dropped already (a duplicate id,
+            # or an arrival after a later epoch was evaluated).
+            return self._evaluate_single(query)
         template_name, column = entry
-        block = self._blocks.get(template_name)
-        if block is None:
-            return None
+        block = self._blocks[template_name]
         self._remaining -= 1
         if self._remaining <= 0:
             # Window drained: release the arrays eagerly.
@@ -195,6 +204,14 @@ class BatchScheduler:
         self._remaining = 0
 
     # -- internals -------------------------------------------------------------
+
+    def _evaluate_single(self, query: Query
+                         ) -> Tuple[PlanTable, BatchPlanEstimates, int]:
+        """Score one query as its own block (nothing is retained)."""
+        table = self._tables.table_for(query, self._enumerator,
+                                       self._execution)
+        _check_shape(table, query)
+        return table, evaluate_plan_table(table, [query], self._execution), 0
 
     def _evaluate_window(self, start: int) -> None:
         # Execution estimates depend on the query instance and the
@@ -218,23 +235,14 @@ class BatchScheduler:
         blocks: Dict[str, _TemplateBlock] = {}
         columns: Dict[int, Tuple[str, int]] = {}
         for template_name, group in groups.items():
-            representative = group[0]
             table = self._tables.table_for(
-                representative, self._enumerator, self._execution
+                group[0], self._enumerator, self._execution
             )
-            # A template name reused with a different shape cannot be
-            # batched against this table; those queries fall back to the
-            # scalar path (see view_for).
-            usable = [
-                query for query in group
-                if len(query.predicates) == table.predicate_count
-                and query.table_name == representative.table_name
-            ]
-            if not usable:
-                continue
-            estimates = evaluate_plan_table(table, usable, self._execution)
+            for query in group:
+                _check_shape(table, query)
+            estimates = evaluate_plan_table(table, group, self._execution)
             blocks[template_name] = _TemplateBlock(table, estimates)
-            for column, query in enumerate(usable):
+            for column, query in enumerate(group):
                 columns[query.query_id] = (template_name, column)
         self._blocks = blocks
         self._columns = columns
@@ -247,3 +255,21 @@ class BatchScheduler:
                 templates=len(blocks),
                 epochs=self._window_end - start + 1,
             )
+
+
+def _check_shape(table: PlanTable, query: Query) -> None:
+    """Reject a query whose template name is cached with another shape.
+
+    Plan tables (like the enumerator's column and index memos) are keyed
+    by template name alone, so a name reused for a different predicate
+    count or fact table would be scored against the wrong plan set.
+    """
+    if (len(query.predicates) != table.predicate_count
+            or query.table_name != table.table_name):
+        raise PlanningError(
+            f"query {query.query_id} reuses template name "
+            f"{query.template_name!r} with a different shape "
+            f"({query.table_name}, {len(query.predicates)} predicates; "
+            f"the cached plan table has {table.table_name}, "
+            f"{table.predicate_count})"
+        )

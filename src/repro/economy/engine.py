@@ -4,6 +4,8 @@ For every incoming query the engine
 
 1. lets structures whose unpaid maintenance grew too large fail (footnote 3),
 2. enumerates and prices the candidate plans against the cache state,
+   scoring them through the vectorized per-template plan tables of
+   :mod:`repro.economy.batch`,
 3. applies the skyline filter of footnote 2,
 4. builds the user's budget function and negotiates a plan (cases A/B/C),
 5. settles the money flows (user payment in, execution cost out, structure
@@ -43,21 +45,14 @@ from repro.economy.pricing import PlanPricer, PricedPlan
 from repro.economy.regret import RegretTracker
 from repro.economy.tenancy import TenantRegistry
 from repro.economy.user_model import UserModel
-from repro.errors import ConfigurationError, PlanningError
+from repro.errors import ConfigurationError
 from repro.planner.enumerator import PlanEnumerator
 from repro.planner.plan import PlanKind, QueryPlan
 from repro.planner.plan_table import PlanTable, PlanTableCache
-from repro.planner.skyline import skyline_filter, skyline_indices
+from repro.planner.skyline import skyline_indices
 from repro.structures.base import CacheStructure, StructureKind
 from repro.structures.cached_index import CachedIndex
 from repro.workload.query import Query
-
-#: Planning-mode names accepted by :attr:`EconomyConfig.planning` (and the
-#: CLI's ``--planning`` flag).
-PLANNING_SCALAR = "scalar"
-PLANNING_BATCHED = "batched"
-PLANNING_MODES = (PLANNING_SCALAR, PLANNING_BATCHED)
-
 
 @dataclass(frozen=True)
 class EconomyConfig:
@@ -81,11 +76,6 @@ class EconomyConfig:
         regret_pool_capacity: LRU bound on the number of structures tracked
             by the regret array (Section IV-B).
         user_model: how budget functions are derived for incoming queries.
-        planning: ``"scalar"`` (the default) prices every query through the
-            per-plan pipeline; ``"batched"`` lets a primed engine score
-            whole arrival batches through the vectorized plan-table path
-            (:mod:`repro.economy.batch`), with outcomes bit-for-bit
-            identical to scalar processing.
         strict_maintenance: the shutdown-priority policy — at every
             settlement, when maintenance accrued since the last
             enforcement exceeds the query-payment income earned over the
@@ -111,7 +101,6 @@ class EconomyConfig:
     max_investments_per_query: int = 8
     regret_pool_capacity: int = 512
     user_model: UserModel = field(default_factory=UserModel)
-    planning: str = PLANNING_SCALAR
     strict_maintenance: bool = False
 
     def __post_init__(self) -> None:
@@ -123,10 +112,6 @@ class EconomyConfig:
             raise ConfigurationError("max_investments_per_query must be non-negative")
         if self.regret_pool_capacity <= 0:
             raise ConfigurationError("regret_pool_capacity must be positive")
-        if self.planning not in PLANNING_MODES:
-            raise ConfigurationError(
-                f"planning must be one of {PLANNING_MODES}, got {self.planning!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -179,7 +164,7 @@ class QueryOutcome:
 
 
 class _TablePricingState:
-    """Cache-version-invariant parts of batched pricing for one plan table.
+    """Cache-version-invariant parts of the pricing of one plan table.
 
     Between two cache-content changes, the charge of every *not-yet-built*
     structure is fixed (its build cost is memoized and it has served zero
@@ -232,11 +217,9 @@ class EconomyEngine:
         self._tenants = tenants
         self._outcomes: List[QueryOutcome] = []
         self._uncovered: List[Tuple[str, float]] = []
-        # Batched-planning state: populated by prime_queries when the
-        # configured planning mode is "batched"; None keeps every query on
-        # the scalar path.
-        self._batch: Optional[BatchScheduler] = None
-        self._plan_tables: Optional[PlanTableCache] = None
+        # Planning state: the scheduler scores primed arrivals in
+        # vectorized windows and any other query on its own.
+        self._batch = BatchScheduler(enumerator, self.execution_model)
         self._build_cost_memo: Dict[Tuple[str, Optional[FrozenSet[str]]], float] = {}
         # Cached-column key set, memoized against the cache version so the
         # hot loop does not rescan the cache on every query.
@@ -301,9 +284,9 @@ class EconomyEngine:
         return self._structure_costs.execution_model
 
     @property
-    def plan_tables(self) -> Optional[PlanTableCache]:
-        """The per-template plan-table cache (batched planning only)."""
-        return self._plan_tables
+    def plan_tables(self) -> PlanTableCache:
+        """The per-template plan-table cache."""
+        return self._batch.tables
 
     @property
     def trace(self):
@@ -315,26 +298,24 @@ class EconomyEngine:
 
         The recorder (duck-typed :class:`repro.obs.trace.TraceRecorder`)
         observes values the run computes anyway — it must never perturb
-        outcomes. Propagates to the cache manager and, when batched
-        planning is active, the batch scheduler; ``prime_queries`` also
-        forwards it to any scheduler created later.
+        outcomes. Propagates to the cache manager and the batch
+        scheduler; ``prime_queries`` also forwards it to any scheduler
+        created later.
         """
         self._trace = recorder
         self._cache.attach_trace(recorder)
-        if self._batch is not None:
-            self._batch.attach_trace(recorder)
+        self._batch.attach_trace(recorder)
 
     # -- main entry point --------------------------------------------------------------
 
     def prime_queries(self, queries: Sequence[Query],
                       settlement_period_s: Optional[float] = None,
                       plan_tables: Optional[PlanTableCache] = None) -> None:
-        """Announce upcoming arrivals to the batched planner.
+        """Announce upcoming arrivals to the batch scheduler.
 
-        A no-op unless the engine is configured with
-        ``planning="batched"``. Queries not primed (or primed queries
-        arriving twice) simply take the scalar path, whose outcomes are
-        identical by construction.
+        Primed arrivals are scored in vectorized windows. A query that was
+        not primed (or a primed query arriving twice) is scored on its own
+        when it arrives, with the identical outcome.
 
         Args:
             queries: the upcoming arrivals, in arrival order.
@@ -344,20 +325,11 @@ class EconomyEngine:
                 shared across benchmark repetitions to measure warm-table
                 throughput).
         """
-        if self._config.planning != PLANNING_BATCHED:
-            return
         if plan_tables is not None:
-            self._plan_tables = plan_tables
-            self._batch = None
-        if self._plan_tables is None:
-            self._plan_tables = PlanTableCache()
-        if self._batch is None:
             self._batch = BatchScheduler(
-                self._enumerator, self.execution_model,
-                tables=self._plan_tables,
+                self._enumerator, self.execution_model, tables=plan_tables,
             )
-            if self._trace is not None:
-                self._batch.attach_trace(self._trace)
+            self._batch.attach_trace(self._trace)
         self._batch.prime(queries, settlement_period_s)
 
     def process_query(self, query: Query,
@@ -372,19 +344,7 @@ class EconomyEngine:
             for record in evictions
         )
 
-        batch_view = (self._batch.view_for(query)
-                      if self._batch is not None else None)
-        if batch_view is not None:
-            skyline, budget = self._plan_batched(query, time_s, batch_view)
-        else:
-            priced = self._price_plans(query, time_s)
-            skyline = skyline_filter(
-                priced,
-                time_of=lambda plan: plan.response_time_s,
-                cost_of=lambda plan: plan.price,
-            )
-            skyline = self._ensure_existing_plan(priced, skyline)
-            budget = self._budget_for(query, priced)
+        skyline, budget = self._plan(query, time_s)
         result = negotiate(budget, skyline, self._config.plan_selection)
 
         maintenance_recovered = self._settle_chosen_plan(query, result, time_s)
@@ -471,10 +431,9 @@ class EconomyEngine:
 
         An empty predicate destroys everything. Beyond evicting, the
         enumerator's generation is bumped (so batched plan tables
-        rebuild) and the batched pricing memos are dropped — the next
-        query re-prices against the post-fault cache on either planning
-        path, and the economy must re-earn the lost structures through
-        its normal investment rule.
+        rebuild) and the pricing memos are dropped — the next query
+        re-prices against the post-fault cache, and the economy must
+        re-earn the lost structures through its normal investment rule.
         """
         matching = [entry.structure.key for entry in self._cache.entries
                     if predicate in entry.structure.key]
@@ -537,73 +496,34 @@ class EconomyEngine:
 
     # -- steps -----------------------------------------------------------------------
 
-    def _price_plans(self, query: Query, now: float) -> List[PricedPlan]:
-        plans = self._enumerator.enumerate(query)
-        if not plans:
-            raise PlanningError(f"no plans enumerated for query {query.query_id}")
-        return self._pricer.price_plans(plans, self._cache, now)
-
-    def _ensure_existing_plan(self, priced: List[PricedPlan],
-                              skyline: List[PricedPlan]) -> List[PricedPlan]:
-        """Guarantee the skyline still offers at least one existing plan.
-
-        The skyline is computed over price and time only; if every existing
-        plan got dominated by not-yet-built plans, negotiation would have
-        nothing executable, so the cheapest existing plan is re-added.
-        """
-        if any(plan.is_existing for plan in skyline):
-            return skyline
-        existing = [plan for plan in priced if plan.is_existing]
-        if not existing:
-            return skyline
-        cheapest = min(existing, key=lambda plan: plan.price)
-        return skyline + [cheapest]
-
-    def _budget_for(self, query: Query,
-                    priced: List[PricedPlan]) -> BudgetFunction:
-        backend = [plan for plan in priced
-                   if plan.plan.kind is PlanKind.BACKEND]
-        if backend:
-            reference = backend[0]
-        else:
-            reference = min(
-                (plan for plan in priced if plan.is_existing),
-                key=lambda plan: plan.price,
-                default=priced[0],
-            )
-        if self._tenants is not None:
-            budget = self._tenants.budget_for(
-                query, reference.price, reference.response_time_s,
-                default_model=self._config.user_model,
-            )
-        else:
-            budget = self._config.user_model.budget_for(
-                query, reference.price, reference.response_time_s
-            )
-        return self._squeeze(budget)
-
     def _squeeze(self, budget: BudgetFunction) -> BudgetFunction:
         """Apply the active budget-squeeze factor to an offered budget."""
         if self._budget_factor == 1.0:
             return budget
         return budget.scaled(self._budget_factor)
 
-    # -- batched planning --------------------------------------------------------------
+    # -- planning ----------------------------------------------------------------------
     #
-    # The batched path replaces _price_plans + skyline_filter +
-    # _ensure_existing_plan + _budget_for with array arithmetic over a
-    # per-template plan table, but every float it produces is the output of
-    # the identical scalar expression tree, so negotiation and settlement
-    # downstream see bit-for-bit identical inputs. Pricing against the
-    # mutable cache stays per-query; what moves out of the hot loop is the
-    # per-instance execution estimation (vectorized per epoch) and the
-    # per-plan re-pricing of shared structures (each distinct structure is
-    # priced once per query instead of once per plan).
+    # Planning is array arithmetic over a per-template plan table, but every
+    # float it produces is the output of the scalar per-plan expression tree
+    # (PlanPricer.price_plans, skyline_filter, the existing-plan guarantee
+    # and the budget reference), so negotiation and settlement see exactly
+    # what that pipeline would hand them. Pricing against the mutable cache
+    # stays per-query; what moves out of the hot loop is the per-instance
+    # execution estimation (vectorized per window) and the per-plan
+    # re-pricing of shared structures (each distinct structure is priced
+    # once per query instead of once per plan).
 
-    def _plan_batched(self, query: Query, now: float,
-                      view: Tuple) -> Tuple[List[PricedPlan], BudgetFunction]:
-        """Price, skyline-filter, and budget one query from its batch view."""
-        table, estimates, column = view
+    def _plan(self, query: Query,
+              now: float) -> Tuple[List[PricedPlan], BudgetFunction]:
+        """Price, skyline-filter, and budget one query.
+
+        Returns the negotiation skyline and the user's budget function.
+        This is the engine's one planning seam: the test suite's scalar
+        oracle overrides it with the per-plan pipeline to check that both
+        produce the same floats.
+        """
+        table, estimates, column = self._batch.view_for(query)
         times = estimates.times_for(column)
         execution_dollars = estimates.execution_dollars_for(column)
         state = self._pricing_state_for(table)
@@ -643,12 +563,15 @@ class EconomyEngine:
             amortized=amortized, prices=prices, existing=list(state.existing),
             remote_surcharges=None,
         )
-        self._adjust_batched_pricing(context, now)
+        self._adjust_pricing(context, now)
 
         selected = skyline_indices(context.times, context.prices)
         if not any(context.existing[row_index] for row_index in selected):
-            # _ensure_existing_plan: re-add the cheapest existing plan
-            # (first strict minimum, matching min()'s tie-breaking).
+            # The skyline is computed over price and time only; if every
+            # existing plan got dominated by not-yet-built plans,
+            # negotiation would have nothing executable, so re-add the
+            # cheapest existing plan (first strict minimum, matching
+            # min()'s tie-breaking).
             cheapest: Optional[int] = None
             cheapest_price = float("inf")
             for row_index in range(table.row_count):
@@ -661,7 +584,7 @@ class EconomyEngine:
 
         skyline = [self._materialize_row(query, context, row_index, now)
                    for row_index in selected]
-        budget = self._batched_budget(query, context)
+        budget = self._budget(query, context)
         return skyline, budget
 
     def _pricing_state_for(self, table: PlanTable) -> _TablePricingState:
@@ -732,20 +655,24 @@ class EconomyEngine:
         self._pricing_states[table.template_name] = state
         return state
 
-    def _adjust_batched_pricing(self, context: BatchPricingContext,
-                                now: float) -> None:
-        """Hook: rewrite the batch pricing context before skyline selection.
+    def _adjust_pricing(self, context: BatchPricingContext,
+                        now: float) -> None:
+        """Hook: rewrite the pricing context before skyline selection.
 
         The base engine prices purely against its own cache and adjusts
         nothing; the partitioned engine (:mod:`repro.distcache`) overrides
         this to fold remote-access surcharges into rows whose missing
-        structures are advertised by the directory, mirroring its scalar
-        ``_apply_remote`` re-pricing.
+        structures are advertised by the directory.
         """
 
-    def _batched_budget(self, query: Query,
-                        context: BatchPricingContext) -> BudgetFunction:
-        """Mirror of :meth:`_budget_for` over the batch pricing context."""
+    def _budget(self, query: Query,
+                context: BatchPricingContext) -> BudgetFunction:
+        """The user's budget function for ``query``.
+
+        The reference plan it is quoted against is the back-end plan, or
+        failing that the cheapest existing plan (the first row when none
+        exists).
+        """
         table = context.table
         if table.backend_row is not None:
             reference = table.backend_row
@@ -771,7 +698,7 @@ class EconomyEngine:
 
     def _materialize_row(self, query: Query, context: BatchPricingContext,
                          row_index: int, now: float) -> PricedPlan:
-        """Instantiate one plan-table row as the scalar pipeline's PricedPlan."""
+        """Instantiate one plan-table row as a :class:`PricedPlan`."""
         table = context.table
         row = table.rows[row_index]
         charges = context.charges
@@ -837,17 +764,12 @@ class EconomyEngine:
 
     def _memoized_build_cost(self, structure: CacheStructure,
                              available_columns: Set[str]) -> float:
-        """Build-cost estimate, memoized while batched planning is active.
+        """Build-cost estimate, memoized.
 
         A build cost depends only on the structure and — for an index —
         on which of its key columns must still be transferred, so the memo
-        key is ``(structure key, frozenset of missing column keys)``. The
-        scalar path keeps calling the cost model directly.
+        key is ``(structure key, frozenset of missing column keys)``.
         """
-        if self._batch is None:
-            return self._structure_costs.build_cost(
-                structure, cached_columns=available_columns
-            )
         if isinstance(structure, CachedIndex):
             missing = frozenset(
                 column.key for column in structure.required_columns()
@@ -968,8 +890,8 @@ class EconomyEngine:
         # The investment rule sees the *spot* (shock-scaled) price: a
         # 3x provider shock must make marginal builds unattractive. The
         # memoized catalog cost stays unscaled — it is shared with the
-        # batched pricing of unbuilt plans, which (like the scalar
-        # pricer) always quotes users catalog prices.
+        # pricing of unbuilt plans, which always quotes users catalog
+        # prices.
         return self._memoized_build_cost(
             structure, self._available_column_keys()
         ) * self._price_factor

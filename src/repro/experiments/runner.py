@@ -16,10 +16,8 @@ from dataclasses import dataclass, field as dataclasses_field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.costmodel.config import CostModelConfig
-from repro.economy.engine import EconomyConfig
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentProfile
-from repro.policies.economic import EconomicSchemeConfig
 from repro.simulator.metrics import MetricsSummary
 from repro.simulator.simulation import CloudSimulation, SimulationConfig
 from repro.system import CloudSystem, CloudSystemConfig
@@ -111,9 +109,7 @@ def run_cell(system: CloudSystem, profile: ExperimentProfile, scheme_name: str,
         seed=profile.seed,
     )
     workload = WorkloadGenerator(spec.with_interarrival(interarrival_s)).generate()
-    scheme = system.scheme(scheme_name, economic_config=EconomicSchemeConfig(
-        economy=EconomyConfig(planning=profile.planning),
-    ))
+    scheme = system.scheme(scheme_name)
     observers = []
     recorder = None
     if trace:

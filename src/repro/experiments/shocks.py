@@ -127,7 +127,6 @@ def audited_shock_cell(
         scheme = system.scheme(
             config.scheme, economic_config=EconomicSchemeConfig(
                 economy=EconomyConfig(
-                    planning=config.planning,
                     strict_maintenance=config.strict_maintenance,
                 ),
                 tenants=registry,

@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.economy.engine import EconomyConfig, PLANNING_MODES, PLANNING_SCALAR
+from repro.economy.engine import EconomyConfig
 from repro.economy.tenancy import TenantRegistry
 from repro.errors import ExperimentError
 from repro.experiments.reporting import distribution_cells, format_table
@@ -78,7 +78,6 @@ class TenantExperimentConfig:
     churn_fraction: float = 0.1
     warmup_queries: int = 0
     settlement_period_s: Optional[float] = None
-    planning: str = PLANNING_SCALAR
     shocks: Tuple[ShockSpec, ...] = ()
     tenant_tiers: Tuple[TenantTier, ...] = ()
     strict_maintenance: bool = False
@@ -95,29 +94,17 @@ class TenantExperimentConfig:
             raise ExperimentError("query_count must be positive")
         if self.settlement_period_s is not None and self.settlement_period_s <= 0:
             raise ExperimentError("settlement_period_s must be positive")
-        if self.planning not in PLANNING_MODES:
-            raise ExperimentError(
-                f"planning must be one of {PLANNING_MODES}, "
-                f"got {self.planning!r}"
-            )
         if self.arrival_mode not in ARRIVAL_MODES:
             raise ExperimentError(
                 f"arrival_mode must be one of {ARRIVAL_MODES}, "
                 f"got {self.arrival_mode!r}"
             )
-        if self.arrival_mode == ARRIVAL_STREAMED:
-            if self.planning != PLANNING_SCALAR:
-                raise ExperimentError(
-                    "streamed arrivals require scalar planning: batched "
-                    "planners prime whole epochs up front, which is "
-                    "exactly what streaming avoids"
-                )
-            if self.grammar is not None:
-                raise ExperimentError(
-                    "streamed arrivals do not support grammar-composed "
-                    "scenarios yet: a compiled scenario materialises its "
-                    "query stream by construction"
-                )
+        if self.arrival_mode == ARRIVAL_STREAMED and self.grammar is not None:
+            raise ExperimentError(
+                "streamed arrivals do not support grammar-composed "
+                "scenarios yet: a compiled scenario materialises its "
+                "query stream by construction"
+            )
 
     def population_spec(self) -> PopulationSpec:
         """The population half of the configuration."""
@@ -209,7 +196,6 @@ def run_tenant_cell(config: TenantExperimentConfig,
         scheme = system.scheme(
             config.scheme, economic_config=EconomicSchemeConfig(
                 economy=EconomyConfig(
-                    planning=config.planning,
                     strict_maintenance=config.strict_maintenance,
                 ),
                 tenants=registry,
@@ -281,7 +267,6 @@ def _run_streamed_cell(config: TenantExperimentConfig,
         scheme = system.scheme(
             config.scheme, economic_config=EconomicSchemeConfig(
                 economy=EconomyConfig(
-                    planning=config.planning,
                     strict_maintenance=config.strict_maintenance,
                 ),
                 tenants=registry,

@@ -23,17 +23,17 @@ Example:
     >>> doc = {"benchmark": "planner", "scheme": "econ-cheap",
     ...        "query_count": 100, "seed": 0, "repetitions": 1,
     ...        "python": "3.11.0", "outcomes_identical": True,
-    ...        "speedup": {"batched_cold_vs_scalar": 6.0},
-    ...        "runs": [{"planning": "scalar", "benchmark_mode": "scalar",
+    ...        "speedup": {"batched_warm_vs_cold": 1.1},
+    ...        "runs": [{"benchmark_mode": "batched-cold",
     ...                  "queries_per_s": 1000.0}]}
     >>> record = record_from_bench(doc, git_sha="abc",
     ...                            recorded_at="2026-01-01T00:00:00Z")
-    >>> record.metrics["scalar_queries_per_s"]
+    >>> record.metrics["batched_cold_queries_per_s"]
     1000.0
     >>> baseline = record_from_bench(doc, git_sha="abc",
     ...                              recorded_at="2026-01-01T00:00:00Z")
     >>> [d.status for d in compute_deltas(record.metrics, baseline)]
-    ['ok', 'ok']
+    ['ok']
 """
 
 from __future__ import annotations
@@ -69,10 +69,11 @@ METRIC_DIRECTIONS: Dict[str, Optional[str]] = {
     "best_queries_per_s": "higher",
     "best_speedup_vs_unsharded": "higher",
     "baseline_queries_per_s": "higher",
+    # Planner documents recorded while the engine still had a scalar
+    # planning mode carry a "scalar" run; reports over them stay valid.
     "scalar_queries_per_s": "higher",
     "batched_cold_queries_per_s": "higher",
     "batched_warm_queries_per_s": "higher",
-    "batched_cold_speedup": "higher",
     "clean_queries_per_s": "higher",
     "remote_surcharge_dollars": "lower",
     "remote_hit_rate": "lower",
@@ -143,10 +144,6 @@ def history_metrics(document: Mapping[str, object]) -> Dict[str, float]:
             if isinstance(mode, str):
                 put(f"{mode.replace('-', '_')}_queries_per_s",
                     run.get("queries_per_s"))
-        speedup = document.get("speedup")
-        if isinstance(speedup, Mapping):
-            put("batched_cold_speedup",
-                speedup.get("batched_cold_vs_scalar"))
     elif kind == "shocks":
         ratios = [run.get("cost_ratio") for run in runs
                   if isinstance(run.get("cost_ratio"), (int, float))]

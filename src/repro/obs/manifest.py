@@ -100,7 +100,6 @@ class RunManifest:
     shards: int = 1
     cache_partitions: int = 1
     placement: str = "hash"
-    planning: str = "scalar"
     phase_timings_s: Tuple[Tuple[str, float], ...] = ()
     extra: Tuple[Tuple[str, object], ...] = field(default_factory=tuple)
 
@@ -120,7 +119,6 @@ class RunManifest:
             "shards": self.shards,
             "cache_partitions": self.cache_partitions,
             "placement": self.placement,
-            "planning": self.planning,
             "phase_timings_s": {name: seconds
                                for name, seconds in self.phase_timings_s},
         }
@@ -145,7 +143,6 @@ def build_manifest(command: str, *,
                    shards: int = 1,
                    cache_partitions: int = 1,
                    placement: str = "hash",
-                   planning: str = "scalar",
                    phase_timings_s: Optional[Mapping[str, float]] = None,
                    extra: Optional[Mapping[str, object]] = None
                    ) -> RunManifest:
@@ -170,7 +167,6 @@ def build_manifest(command: str, *,
         shards=shards,
         cache_partitions=cache_partitions,
         placement=placement,
-        planning=planning,
         phase_timings_s=tuple(sorted(timings.items())),
         extra=tuple(sorted((extra or {}).items())),
     )

@@ -1,4 +1,4 @@
-"""Per-template plan tables: the structural half of batched planning.
+"""Per-template plan tables: the structural half of query planning.
 
 The plan set the enumerator produces for a query — plan kind x node count x
 relevant index — is a function of the *template* alone: instances of one
@@ -83,6 +83,7 @@ class PlanTable:
     """
 
     template_name: str
+    table_name: str
     generation: int
     rows: Tuple[PlanRow, ...]
     unique_structures: Tuple[CacheStructure, ...]
@@ -196,6 +197,7 @@ def build_plan_table(query: Query, enumerator: PlanEnumerator,
     )
     return PlanTable(
         template_name=query.template_name,
+        table_name=query.table_name,
         generation=enumerator.generation,
         rows=tuple(rows),
         unique_structures=tuple(unique_structures),

@@ -76,9 +76,9 @@ class CachingScheme(abc.ABC):
                        settlement_period_s: Optional[float] = None) -> None:
         """Announce the upcoming arrivals before the run starts.
 
-        Purely advisory: schemes with a batched planner use it to evaluate
-        whole epochs vectorized; the default (and every scalar scheme)
-        ignores it. Outcomes must not depend on whether priming happened.
+        Purely advisory: the economic schemes use it to evaluate whole
+        epochs vectorized; the default (the bypass scheme) ignores it.
+        Outcomes must not depend on whether priming happened.
         """
 
     @property

@@ -123,7 +123,7 @@ class EconomicScheme(CachingScheme):
 
     def apply_invalidation(self, predicate: str, now: float):
         # The engine also invalidates the plan enumerator's generation so
-        # batched plan tables rebuild, and clears its pricing memos.
+        # plan tables rebuild, and clears its pricing memos.
         return self._engine.invalidate_structures(predicate, now)
 
     def apply_price_shock(self, factor: float, now: float) -> None:

@@ -198,7 +198,6 @@ class ShardWorker:
                 config.scheme,
                 economic_config=EconomicSchemeConfig(
                     economy=EconomyConfig(
-                        planning=config.planning,
                         strict_maintenance=config.strict_maintenance,
                     ),
                     tenants=registry,

@@ -114,8 +114,8 @@ def _run_tenants(schemes: Sequence[CachingScheme], queries: Sequence[Query],
     end_s = last_arrival_s + (trailing_s if config.trailing_settlement else 0.0)
 
     kernel = SimulationKernel(start_time_s=start_s)
-    # Batched planners evaluate whole settlement epochs vectorized; scalar
-    # schemes ignore the priming (see CachingScheme.prime_workload).
+    # Economic schemes evaluate whole settlement epochs vectorized; the
+    # bypass scheme ignores the priming (see CachingScheme.prime_workload).
     for scheme in schemes:
         scheme.prime_workload(
             query_list, settlement_period_s=config.settlement_period_s
@@ -211,9 +211,8 @@ def _run_tenants_streamed(schemes: Sequence[CachingScheme], stream,
     insertion order; cross-kind ties go by event priority, which never
     depended on scheduling order).
 
-    Batched planners need the whole epoch up front (``prime_workload``),
-    which is exactly what a stream avoids; callers gate streamed runs to
-    scalar planning before reaching this assembly.
+    Nothing is primed: a stream never holds the whole epoch, so the
+    economic schemes score each arrival on its own as it comes.
     """
     from repro.simulator.streaming import StreamingArrivalSource
 

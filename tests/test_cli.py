@@ -100,6 +100,16 @@ class TestCommands:
         assert main(["scenario", "--queries", "0"]) == 2
         assert "query_count must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["figure4", "figure5", "headline",
+                                         "scenario", "tenants", "shocks"])
+    @pytest.mark.parametrize("mode", ["scalar", "batched"])
+    def test_planning_flag_is_gone(self, capsys, command, mode):
+        # There is one planner; the old --planning switch is rejected.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--planning", mode])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --planning" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--jobs", "--shards"])
     @pytest.mark.parametrize("value", ["0", "-2", "four"])
     def test_tenants_rejects_invalid_worker_counts(self, capsys, flag, value):

@@ -121,10 +121,13 @@ class TestShocksScalingModes:
         assert "conservation: exact across 2 partitions" in output
         assert "Placement - adaptive (handoffs:" in output
 
-    def test_batched_planning_composes_with_shocks(self, capsys):
-        assert main(ARGS + ["--planning", "batched"]) == 0
+    def test_batched_planning_composes_with_shocks(self, capsys, tmp_path):
+        trace = str(tmp_path / "shocks.jsonl")
+        assert main(ARGS + ["--trace", trace]) == 0
         assert ("econ-cheap: conservation: exact"
                 in capsys.readouterr().out)
+        with open(trace, encoding="utf-8") as handle:
+            assert '"batch_window"' in handle.read()
 
     def test_bypass_is_skipped_from_the_partitioned_rerun(self, capsys):
         assert main(["shocks", "--schemes", "bypass,econ-cheap",

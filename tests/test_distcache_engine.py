@@ -13,10 +13,12 @@ from repro.distcache import (
 )
 from repro.economy.engine import EconomyConfig
 from repro.errors import DistCacheError
-from repro.planner.enumerator import PlanEnumerator
+from repro.planner.enumerator import EnumeratorConfig, PlanEnumerator
 from repro.planner.plan import required_columns_for
 from repro.structures.cached_column import CachedColumn
 from repro.structures.cached_index import CachedIndex
+
+from scalar_oracle import price_plans, scalar_plan
 
 
 @pytest.fixture
@@ -25,17 +27,27 @@ def partitioner():
 
 
 def make_engine(execution_model, structure_costs, partitioner, index=0,
-                remote=RemoteAccessModel(), candidate_indexes=()):
+                remote=RemoteAccessModel(), candidate_indexes=(),
+                enumerator_config=EnumeratorConfig()):
     cache = PartitionedCacheManager(
         CacheConfig(), partitioner=partitioner, partition_index=index)
     return PartitionedEconomyEngine(
         enumerator=PlanEnumerator(execution_model,
-                                  candidate_indexes=candidate_indexes),
+                                  candidate_indexes=candidate_indexes,
+                                  config=enumerator_config),
         structure_costs=structure_costs,
         cache=cache,
         config=EconomyConfig(initial_credit=100.0),
         remote=remote,
     )
+
+
+def assert_plans_like_oracle(engine, query, now=0.0):
+    """The engine's skyline and budget equal the scalar oracle's."""
+    skyline, budget = engine._plan(query, now)
+    oracle_skyline, oracle_budget = scalar_plan(engine, query, now)
+    assert skyline == oracle_skyline
+    assert vars(budget) == vars(oracle_budget)
 
 
 def split_columns(query, partitioner, index):
@@ -93,7 +105,7 @@ class TestRemoteAwarePricing:
                                build_cost=1.0, maintenance_rate=0.0, now=0.0)
 
         scan_before = next(
-            plan for plan in engine._price_plans(query, now=0.0)
+            plan for plan in price_plans(engine, query, now=0.0)
             if plan.plan.kind.name == "CACHE_COLUMN_SCAN"
             and plan.plan.node_count == 1)
         assert not scan_before.is_existing
@@ -105,7 +117,7 @@ class TestRemoteAwarePricing:
             partitioner, version=1)
         engine.partitioned_cache.set_directory(directory)
         scan_after = next(
-            plan for plan in engine._price_plans(query, now=0.0)
+            plan for plan in price_plans(engine, query, now=0.0)
             if plan.plan.kind.name == "CACHE_COLUMN_SCAN"
             and plan.plan.node_count == 1)
         assert scan_after.is_existing
@@ -121,13 +133,40 @@ class TestRemoteAwarePricing:
         # No from-scratch amortisation for remote structures.
         assert all(key not in scan_after.amortized_by_structure
                    for key in (c.key for c in foreign))
+        # The engine's planner prices the same plans to the same floats.
+        assert_plans_like_oracle(engine, query)
+
+    def test_remote_rows_count_as_existing_for_the_budget(
+            self, execution_model, structure_costs, sample_query):
+        # Without a back-end plan the budget is quoted against the
+        # cheapest existing plan. Everything lives on partition 1, so only
+        # the directory makes any row existing — and the remote index
+        # plan, not the first row, is the cheapest.
+        query = sample_query("q6_forecast_revenue")
+        index = CachedIndex("lineitem", ("l_shipdate",))
+        remote = list(required_columns_for(query)) + [index]
+        partitioner = StructurePartitioner(partition_count=2).with_overrides(
+            {structure.key: 1 for structure in remote})
+        engine = make_engine(
+            execution_model, structure_costs, partitioner,
+            candidate_indexes=(index,),
+            enumerator_config=EnumeratorConfig(allow_backend_plan=False,
+                                               max_extra_nodes=0))
+        schema = structure_costs.schema
+        engine.partitioned_cache.set_directory(CrossShardDirectory.publish(
+            {1: [(s.key, s.size_bytes(schema)) for s in remote]},
+            partitioner, version=1))
+        priced = price_plans(engine, query, now=0.0)
+        assert all(plan.is_existing for plan in priced)
+        assert priced[1].price < priced[0].price
+        assert_plans_like_oracle(engine, query)
 
     def test_single_partition_pricing_untouched(
             self, execution_model, structure_costs, sample_query):
         solo = StructurePartitioner(partition_count=1)
         engine = make_engine(execution_model, structure_costs, solo)
         query = sample_query("q6_forecast_revenue")
-        priced = engine._price_plans(query, now=0.0)
+        priced = price_plans(engine, query, now=0.0)
         assert all(plan.plan.execution.network_dollars >= 0 for plan in priced)
         # The directory is empty, so every plan's missing set is exactly
         # its required structures — the base engine's classification.
@@ -136,6 +175,7 @@ class TestRemoteAwarePricing:
                     and plan.plan.node_count == 1)
         assert {s.key for s in scan.new_structures} == {
             c.key for c in required_columns_for(query)}
+        assert_plans_like_oracle(engine, query)
 
 
 class TestOwnedOnlyInvestment:

@@ -110,3 +110,80 @@ class TestPeakBytes:
         cache.evict(first.key, now=2.0)
         assert cache.disk_used_bytes == 500
         assert cache.peak_disk_used_bytes == 800
+
+
+class TestHandoff:
+    """An ownership handoff changes cache contents like admit/evict do."""
+
+    def handed_over(self, partitioner, now=0.0):
+        """(source, target, column): ``column`` built on partition 0,
+        with ownership moved to partition 1 as a barrier would."""
+        column, = columns_owned_by(partitioner, 0)
+        moved = partitioner.with_overrides({column.key: 1})
+        source = PartitionedCacheManager(partitioner=partitioner,
+                                         partition_index=0)
+        target = PartitionedCacheManager(partitioner=partitioner,
+                                         partition_index=1)
+        admit(source, column, now=now)
+        source.set_partitioner(moved)
+        target.set_partitioner(moved)
+        return source, target, column
+
+    def test_extract_and_install_bump_the_version(self, partitioner):
+        source, target, column = self.handed_over(partitioner)
+        source_version, target_version = source.version, target.version
+        entry = source.extract_entry(column.key)
+        assert source.version > source_version
+        target.install_entry(entry, now=1.0)
+        assert target.version > target_version
+        assert target.contains(column.key)
+        assert not source.contains(column.key)
+
+    def test_installed_entry_fails_on_time(self, partitioner):
+        """A handed-in entry idler than every local one must fail at its
+        own failure time, not at the horizon the last scan computed."""
+        config = CacheConfig(max_idle_s=100.0, column_idle_multiplier=1.0)
+        old, = columns_owned_by(partitioner, 0)
+        young, = columns_owned_by(partitioner, 1)
+        source = PartitionedCacheManager(config, partitioner=partitioner,
+                                         partition_index=0)
+        target = PartitionedCacheManager(config, partitioner=partitioner,
+                                         partition_index=1)
+        admit(source, old, now=0.0)                     # fails at 100
+        admit(target, young, now=50.0)                  # fails at 150
+        assert target.evict_failed_structures(60.0) == []
+        moved = partitioner.with_overrides({old.key: 1})
+        source.set_partitioner(moved)
+        target.set_partitioner(moved)
+        target.install_entry(source.extract_entry(old.key), now=60.0)
+        failed = target.evict_failed_structures(120.0)
+        assert [record.key for record in failed] == [old.key]
+
+    def test_adaptive_handoff_reprices_against_the_new_owner(self):
+        """Regression: with batched pricing memos keyed on the cache
+        version, a handoff used to leave the old owner pricing the moved
+        entry and billing it again (``time went backwards``)."""
+        from repro.distcache import run_partitioned_cell
+        from repro.experiments.tenants import TenantExperimentConfig
+        from repro.workload.grammar import InvalidationShock
+
+        from scalar_oracle import oracle_planning
+
+        config = TenantExperimentConfig(
+            scheme="econ-cheap", tenant_count=8, query_count=60,
+            interarrival_s=5.0, seed=128, settlement_period_s=25.0,
+            shocks=(InvalidationShock(at_fraction=0.0, predicate=""),))
+
+        def cell():
+            return run_partitioned_cell(config, partitions=2,
+                                        compare_baseline=False,
+                                        placement="adaptive",
+                                        handoff_threshold=0.0)
+
+        report = cell()
+        assert report.handoff_count > 0
+        with oracle_planning():
+            oracle = cell()
+        assert report.cell.summary == oracle.cell.summary
+        assert report.checkpoints == oracle.checkpoints
+        assert report.partitions == oracle.partitions

@@ -1,25 +1,27 @@
-"""Engine-level tests of the batched planning fast path.
+"""Engine-level tests of the batched planner.
 
-The batched planner's contract is bit-for-bit equality with the scalar
-pipeline: same outcomes, same ledger, same regret — only throughput may
-differ. These tests drive the engine directly; the property-based sweep
-lives in ``test_batched_parity_property.py``.
+The planner's contract is bit-for-bit equality with the scalar oracle
+(``scalar_oracle.py``): same outcomes, same ledger, same regret, whether
+a query was primed into a vectorized window or scored on its own. These
+tests drive the engine directly; the property-based sweep lives in
+``test_batched_parity_property.py``.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.cache.manager import CacheConfig, CacheManager
 from repro.economy.batch import BatchScheduler
-from repro.economy.engine import (
-    PLANNING_BATCHED,
-    PLANNING_SCALAR,
-    EconomyConfig,
-    EconomyEngine,
-)
-from repro.errors import ConfigurationError
+from repro.economy.engine import EconomyConfig, EconomyEngine
+from repro.errors import PlanningError
+from repro.experiments import ExperimentProfile
+from repro.experiments.tenants import TenantExperimentConfig
 from repro.planner.enumerator import PlanEnumerator
 from repro.structures.cached_index import CachedIndex
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
+
+from scalar_oracle import ScalarOracleEngine
 
 CANDIDATES = (
     CachedIndex("lineitem", ("l_shipdate",)),
@@ -28,14 +30,32 @@ CANDIDATES = (
 )
 
 
-def make_engine(execution_model, structure_costs, planning):
+def make_engine(execution_model, structure_costs,
+                engine_class=EconomyEngine):
     enumerator = PlanEnumerator(execution_model, candidate_indexes=CANDIDATES)
-    return EconomyEngine(
+    return engine_class(
         enumerator=enumerator,
         structure_costs=structure_costs,
         cache=CacheManager(CacheConfig()),
-        config=EconomyConfig(planning=planning),
     )
+
+
+def make_oracle(execution_model, structure_costs):
+    return make_engine(execution_model, structure_costs, ScalarOracleEngine)
+
+
+@pytest.fixture
+def single_evaluations(monkeypatch):
+    """Ids of the queries the scheduler scores as one-query blocks."""
+    evaluated = []
+    evaluate = BatchScheduler._evaluate_single
+
+    def counted(scheduler, query):
+        evaluated.append(query.query_id)
+        return evaluate(scheduler, query)
+
+    monkeypatch.setattr(BatchScheduler, "_evaluate_single", counted)
+    return evaluated
 
 
 def workload(count=120, interarrival=5.0, seed=42):
@@ -45,57 +65,82 @@ def workload(count=120, interarrival=5.0, seed=42):
 
 
 class TestConfig:
-    def test_planning_modes(self):
-        assert EconomyConfig(planning=PLANNING_SCALAR).planning == "scalar"
-        assert EconomyConfig(planning=PLANNING_BATCHED).planning == "batched"
-
-    def test_unknown_planning_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EconomyConfig(planning="vectorised")
+    def test_planning_is_not_an_option(self):
+        # One planner: no config object takes a planning mode any more.
+        with pytest.raises(TypeError):
+            EconomyConfig(planning="batched")
+        with pytest.raises(TypeError):
+            ExperimentProfile(name="p", planning="batched")
+        with pytest.raises(TypeError):
+            TenantExperimentConfig(planning="batched")
 
 
 class TestOutcomeParity:
+    def assert_books_equal(self, oracle, engine):
+        assert oracle.account.transactions == engine.account.transactions
+        assert oracle.account.credit == engine.account.credit
+        assert (oracle.regret_tracker.ranked()
+                == engine.regret_tracker.ranked())
+        assert oracle.cache.built_keys == engine.cache.built_keys
+
     def test_batched_outcomes_bitwise_equal_scalar(self, execution_model,
                                                    structure_costs):
         queries = workload()
-        scalar = make_engine(execution_model, structure_costs, "scalar")
-        batched = make_engine(execution_model, structure_costs, "batched")
-        batched.prime_queries(queries, settlement_period_s=50.0)
+        oracle = make_oracle(execution_model, structure_costs)
+        engine = make_engine(execution_model, structure_costs)
+        engine.prime_queries(queries, settlement_period_s=50.0)
         for query in queries:
-            a = scalar.process_query(query)
-            b = batched.process_query(query)
+            a = oracle.process_query(query)
+            b = engine.process_query(query)
             assert a == b, query.query_id
-        assert scalar.account.transactions == batched.account.transactions
-        assert scalar.account.credit == batched.account.credit
-        assert (scalar.regret_tracker.ranked()
-                == batched.regret_tracker.ranked())
-        assert scalar.cache.built_keys == batched.cache.built_keys
+        self.assert_books_equal(oracle, engine)
 
-    def test_unprimed_queries_fall_back_to_scalar(self, execution_model,
-                                                  structure_costs):
+    @pytest.mark.parametrize("primed", [0, 20])
+    def test_unprimed_queries_are_batch_planned(self, execution_model,
+                                                structure_costs,
+                                                single_evaluations, primed):
         queries = workload(count=40)
-        scalar = make_engine(execution_model, structure_costs, "scalar")
-        batched = make_engine(execution_model, structure_costs, "batched")
-        # Prime only the first half; the rest must take the scalar path
-        # with identical outcomes.
-        batched.prime_queries(queries[:20], settlement_period_s=None)
+        oracle = make_oracle(execution_model, structure_costs)
+        engine = make_engine(execution_model, structure_costs)
+        # Prime only a prefix; the rest are scored one query at a time,
+        # with outcomes identical to the oracle's.
+        if primed:
+            engine.prime_queries(queries[:primed], settlement_period_s=None)
         for query in queries:
-            assert scalar.process_query(query) == batched.process_query(query)
+            assert oracle.process_query(query) == engine.process_query(query)
+        assert single_evaluations == [query.query_id
+                                      for query in queries[primed:]]
+        self.assert_books_equal(oracle, engine)
 
-    def test_prime_is_a_noop_for_scalar_engines(self, execution_model,
-                                                structure_costs):
-        engine = make_engine(execution_model, structure_costs, "scalar")
-        engine.prime_queries(workload(count=10))
-        assert engine.plan_tables is None
+    def test_repeated_queries_are_batch_planned(self, execution_model,
+                                                structure_costs,
+                                                single_evaluations):
+        # A query id seen twice is scored on its own the second time; the
+        # primed window around it stays intact.
+        queries = workload(count=30)
+        repeats = [replace(query, arrival_time=query.arrival_time + 0.5)
+                   for query in queries[:10]]
+        stream = []
+        for index, query in enumerate(queries):
+            stream.append(query)
+            if index < 10:
+                stream.append(repeats[index])
+        oracle = make_oracle(execution_model, structure_costs)
+        engine = make_engine(execution_model, structure_costs)
+        engine.prime_queries(queries, settlement_period_s=None)
+        for query in stream:
+            assert oracle.process_query(query) == engine.process_query(query)
+        assert single_evaluations == [query.query_id for query in repeats]
+        assert engine._batch.pending_queries == 0
+        self.assert_books_equal(oracle, engine)
 
     def test_plan_tables_populated_when_batched(self, execution_model,
                                                 structure_costs):
         queries = workload(count=30)
-        engine = make_engine(execution_model, structure_costs, "batched")
+        engine = make_engine(execution_model, structure_costs)
         engine.prime_queries(queries)
         for query in queries:
             engine.process_query(query)
-        assert engine.plan_tables is not None
         assert len(engine.plan_tables) > 0
 
 
@@ -113,8 +158,9 @@ class TestBatchScheduler:
         for query in queries:
             assert scheduler.view_for(query) is not None
         assert scheduler.pending_queries == 0
-        # Asking again falls back (the engine then runs the scalar path).
-        assert scheduler.view_for(queries[0]) is None
+        # Asking again scores the query on its own, to the same figures.
+        table, estimates, column = scheduler.view_for(queries[0])
+        assert column == 0 and estimates.query_count == 1
 
     def test_settlement_period_splits_epochs(self, execution_model):
         scheduler = self.make(execution_model)
@@ -142,4 +188,31 @@ class TestBatchScheduler:
         scheduler.prime(queries)
         scheduler.clear()
         assert scheduler.pending_queries == 0
-        assert scheduler.view_for(queries[0]) is None
+        assert scheduler._blocks == {}
+        assert scheduler.view_for(queries[0])[2] == 0
+
+    def test_single_query_leaves_the_window_alone(self, execution_model):
+        scheduler = self.make(execution_model)
+        queries = workload(count=8)
+        scheduler.prime(queries[:4])
+        scheduler.view_for(queries[0])
+        blocks, remaining = dict(scheduler._blocks), scheduler._remaining
+        table, estimates, column = scheduler.view_for(queries[6])
+        assert scheduler._blocks == blocks
+        assert scheduler._remaining == remaining
+        assert scheduler.pending_queries == 3
+
+    def test_reused_template_name_with_another_shape_rejected(
+            self, execution_model):
+        scheduler = self.make(execution_model)
+        queries = workload(count=8)
+        first = queries[0]
+        impostor = replace(queries[1], query_id=10_000,
+                           template_name=first.template_name,
+                           predicates=first.predicates + first.predicates)
+        scheduler.view_for(first)
+        with pytest.raises(PlanningError, match="different shape"):
+            scheduler.view_for(impostor)
+        scheduler.prime([first, impostor])
+        with pytest.raises(PlanningError, match="different shape"):
+            scheduler.view_for(first)

@@ -214,3 +214,42 @@ class TestCheckedInHistory:
         baseline = latest_comparable(records["sharding"],
                                      bench_config_hash(document))
         assert baseline is not None
+
+
+class TestLegacyPlanningArtifacts:
+    """Artifacts recorded while the engine had a ``planning`` mode.
+
+    The fixture holds a planner bench document with a scalar run and a
+    ``batched_cold_vs_scalar`` speedup, its history record (with the
+    since-dropped ``batched_cold_speedup`` metric), and a trace whose run
+    manifest carries ``"planning": "batched"``. The report must still
+    read them all.
+    """
+
+    LEGACY = os.path.join(REPO_ROOT, "tests", "data", "legacy_planning")
+
+    def test_report_reads_legacy_bench_history_and_trace(self, tmp_path):
+        bench = os.path.join(self.LEGACY, "BENCH_planner.json")
+        trace = os.path.join(self.LEGACY, "scenario_trace.jsonl")
+        with open(trace + ".manifest.json", encoding="utf-8") as handle:
+            assert json.load(handle)["planning"] == "batched"
+        report, markdown = render_report(
+            [bench], trace_paths=[trace],
+            baseline_dir=os.path.join(self.LEGACY, "history"))
+        assert validate_report(report) == []
+        planner = report["benches"]["planner"]
+        assert planner["valid"] and planner["problems"] == []
+        assert planner["headline"]["gate_ok"] is True
+        entry = report["baseline"]["benches"]["planner"]
+        assert entry["comparable"] is True
+        statuses = {d["metric"]: d["status"] for d in entry["deltas"]}
+        assert statuses == {"batched_cold_queries_per_s": "ok",
+                            "batched_warm_queries_per_s": "ok",
+                            "scalar_queries_per_s": "ok"}
+        assert report["baseline"]["problems"] == []
+        (summary,) = report["traces"]
+        assert summary["artifact"] == "trace"
+        assert "problem" not in summary
+        assert not any("regression" in warning or "legacy" in warning
+                       for warning in report["warnings"])
+        assert "| planner |" in markdown

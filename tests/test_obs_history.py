@@ -27,12 +27,10 @@ def _planner_doc(qps=1000.0, seed=0):
         "benchmark": "planner", "scheme": "econ-cheap", "seed": seed,
         "python": "3.11.0", "query_count": 100, "repetitions": 1,
         "outcomes_identical": True,
-        "speedup": {"batched_cold_vs_scalar": 6.0,
-                    "batched_warm_vs_scalar": 5.0},
+        "speedup": {"batched_warm_vs_cold": 2.0},
         "runs": [
-            {"benchmark_mode": "scalar", "queries_per_s": qps},
-            {"benchmark_mode": "batched-cold", "queries_per_s": qps * 6},
-            {"benchmark_mode": "batched-warm", "queries_per_s": qps * 5},
+            {"benchmark_mode": "batched-cold", "queries_per_s": qps},
+            {"benchmark_mode": "batched-warm", "queries_per_s": qps * 2},
         ],
     }
 
@@ -50,10 +48,20 @@ class TestConfigHash:
 class TestHistoryMetrics:
     def test_planner_metrics_cover_every_mode(self):
         metrics = history_metrics(_planner_doc(qps=1000.0))
-        assert metrics["scalar_queries_per_s"] == 1000.0
-        assert metrics["batched_cold_queries_per_s"] == 6000.0
-        assert metrics["batched_warm_queries_per_s"] == 5000.0
-        assert metrics["batched_cold_speedup"] == 6.0
+        assert metrics == {"batched_cold_queries_per_s": 1000.0,
+                           "batched_warm_queries_per_s": 2000.0}
+
+    def test_planner_documents_with_a_scalar_run_still_extract(self):
+        # Recorded while the engine still had a scalar planning mode.
+        document = dict(_planner_doc(qps=1000.0),
+                        speedup={"batched_cold_vs_scalar": 6.0})
+        document["runs"] = document["runs"] + [
+            {"benchmark_mode": "scalar", "planning": "scalar",
+             "queries_per_s": 150.0}]
+        metrics = history_metrics(document)
+        assert metrics["scalar_queries_per_s"] == 150.0
+        assert "batched_cold_speedup" not in metrics
+        assert all(name in METRIC_DIRECTIONS for name in metrics)
 
     def test_every_extracted_metric_has_a_declared_direction(self):
         """The failure mode METRIC_DIRECTIONS exists to prevent: a metric
@@ -162,10 +170,10 @@ class TestComputeDeltas:
                                      git_sha="abc")
         current = history_metrics(_planner_doc(qps=800.0))
         deltas = {d.name: d for d in compute_deltas(current, baseline)}
-        scalar = deltas["scalar_queries_per_s"]
-        assert scalar.change == pytest.approx(-0.2)
-        assert scalar.regression == pytest.approx(0.2)
-        assert scalar.status == "warn"
+        cold = deltas["batched_cold_queries_per_s"]
+        assert cold.change == pytest.approx(-0.2)
+        assert cold.regression == pytest.approx(0.2)
+        assert cold.status == "warn"
 
     def test_lower_is_better_flags_rises(self):
         baseline = record_from_bench(
@@ -195,9 +203,9 @@ class TestComputeDeltas:
 
     def test_metrics_missing_on_either_side_are_skipped(self):
         baseline = record_from_bench(_planner_doc(), git_sha="abc")
-        deltas = compute_deltas({"scalar_queries_per_s": 1000.0,
+        deltas = compute_deltas({"batched_cold_queries_per_s": 1000.0,
                                  "clean_queries_per_s": 5.0}, baseline)
-        assert [d.name for d in deltas] == ["scalar_queries_per_s"]
+        assert [d.name for d in deltas] == ["batched_cold_queries_per_s"]
 
     def test_undeclared_direction_fails_loudly(self):
         baseline = record_from_bench(_planner_doc(), git_sha="abc")
@@ -208,7 +216,7 @@ class TestComputeDeltas:
 
     def test_zero_baseline_is_inf_change_not_a_crash(self):
         baseline = record_from_bench(_planner_doc(qps=0.0), git_sha="abc")
-        # qps=0 zeroes scalar; batched modes scale from it so also 0.
+        # qps=0 zeroes the cold run; the warm run scales from it.
         deltas = {d.name: d for d in compute_deltas(
-            {"scalar_queries_per_s": 10.0}, baseline)}
-        assert deltas["scalar_queries_per_s"].change == float("inf")
+            {"batched_cold_queries_per_s": 10.0}, baseline)}
+        assert deltas["batched_cold_queries_per_s"].change == float("inf")

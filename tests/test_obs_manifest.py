@@ -34,12 +34,12 @@ class TestBuildManifest:
     def test_collects_mode_flags_and_timings(self):
         manifest = build_manifest(
             "tenants", shards=2, cache_partitions=1,
-            placement="hash", planning="batched",
+            placement="hash",
             phase_timings_s={"run": 1.25, "emit_trace": 0.01},
         )
         payload = manifest.to_dict()
         assert payload["shards"] == 2
-        assert payload["planning"] == "batched"
+        assert "planning" not in payload
         assert payload["phase_timings_s"] == {"run": 1.25, "emit_trace": 0.01}
         assert payload["manifest_version"] == 1
 

@@ -6,7 +6,7 @@ execution path leaves every rendered table, wallet ledger, and merged
 report **byte-identical** to the unobserved run. Hypothesis sweeps drawn
 cell shapes; pinned integration cases cover the scaling modes the issue
 calls out — ``--shards 2`` and ``--cache-partitions 2 --placement
-adaptive`` with batched planning — which are too slow to sweep
+adaptive`` — which are too slow to sweep
 per-example.
 """
 
@@ -55,7 +55,6 @@ cell_configs = st.builds(
     interarrival_s=st.sampled_from((5.0, 10.0)),
     seed=st.integers(min_value=0, max_value=5),
     settlement_period_s=st.sampled_from((None, 60.0)),
-    planning=st.sampled_from(("scalar", "batched")),
     shocks=st.sampled_from(SHOCKS),
 )
 
@@ -128,8 +127,7 @@ class TestMetricsModesPurity:
     def test_partitioned_adaptive_metrics_run_is_byte_identical(self):
         from repro.distcache.runner import run_partitioned_experiment
 
-        config = TenantExperimentConfig(scheme="econ-cheap",
-                                        planning="batched", **self.CONFIG)
+        config = TenantExperimentConfig(scheme="econ-cheap", **self.CONFIG)
         plain = run_partitioned_experiment(
             [config], partitions=2, placement="adaptive",
             compare_baseline=False)
@@ -151,8 +149,7 @@ class TestMetricsModesPurity:
         assert all("directory_entries" in s for s in runner_samples)
 
     def test_batched_planning_metrics_run_is_byte_identical(self):
-        config = TenantExperimentConfig(scheme="econ-cheap",
-                                        planning="batched", **self.CONFIG)
+        config = TenantExperimentConfig(scheme="econ-cheap", **self.CONFIG)
         plain = run_tenant_cell(config)
         metrics = MetricsTimeseries()
         observed = run_tenant_cell(config, metrics=metrics)

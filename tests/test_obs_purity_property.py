@@ -4,7 +4,7 @@ The hard invariant of ``repro.obs``: attaching a :class:`TraceRecorder`
 to any execution path leaves every rendered table, wallet ledger, and
 merged report **byte-identical** to the untraced run. Hypothesis draws
 cell shapes (population size, query count, settlement grid, scheme,
-planning mode, shock grammar) and the property re-runs each drawn cell
+shock grammar) and the property re-runs each drawn cell
 traced and untraced; parametrized integration cases pin the sharded and
 cache-partitioned modes, which are too slow to sweep per-example.
 """
@@ -53,7 +53,6 @@ cell_configs = st.builds(
     interarrival_s=st.sampled_from((5.0, 10.0)),
     seed=st.integers(min_value=0, max_value=5),
     settlement_period_s=st.sampled_from((None, 60.0)),
-    planning=st.sampled_from(("scalar", "batched")),
     shocks=st.sampled_from(SHOCKS),
 )
 
@@ -124,8 +123,7 @@ class TestTracedModesPurity:
         assert "partition_summary" in kinds
 
     def test_batched_planning_traced_run_is_byte_identical(self):
-        config = TenantExperimentConfig(scheme="econ-cheap",
-                                        planning="batched", **self.CONFIG)
+        config = TenantExperimentConfig(scheme="econ-cheap", **self.CONFIG)
         untraced = run_tenant_cell(config)
         recorder = TraceRecorder()
         traced = run_tenant_cell(config, trace=recorder)

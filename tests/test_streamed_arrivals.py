@@ -460,11 +460,23 @@ class TestStreamedCellEquivalence:
             merged = run_tenant_experiment([streamed], shards=shards)
             assert _rendered(merged[0]) == baseline
 
-    def test_streamed_requires_scalar_planning(self):
-        with pytest.raises(ExperimentError):
-            TenantExperimentConfig(scheme="econ-cheap",
-                                   arrival_mode=ARRIVAL_STREAMED,
-                                   planning="batched", **QUICK)
+    def test_streamed_queries_are_batch_planned(self, monkeypatch):
+        # Nothing primes a stream: every arrival is scored on its own by
+        # the batch scheduler, to the eager run's figures.
+        from repro.economy.batch import BatchScheduler
+
+        single = []
+        evaluate = BatchScheduler._evaluate_single
+
+        def counted(scheduler, query):
+            single.append(query.query_id)
+            return evaluate(scheduler, query)
+
+        monkeypatch.setattr(BatchScheduler, "_evaluate_single", counted)
+        eager, streamed = self._pair(scheme="econ-cheap")
+        assert _rendered(run_tenant_cell(streamed)) == \
+            _rendered(run_tenant_cell(eager))
+        assert len(single) == QUICK["query_count"]
 
     def test_unknown_arrival_mode_rejected(self):
         with pytest.raises(ExperimentError):
