@@ -19,6 +19,14 @@ that surcharge and how delta publication cuts barrier bytes (the
 dedicated sweep is ``bench_placement.py``). Results land in
 ``BENCH_distcache.json`` next to ``BENCH_sharding.json``.
 
+A separate jobs axis times the one place partitioned runs use more than
+one core: the three economic schemes' cells, partitioned, run through
+``run_partitioned_experiment`` at ``jobs=1`` and ``jobs=2`` (a cell's
+partitions always share one process; ``jobs`` fans out whole cells).
+Its rows are ``jobs_runs``; ``speedup.jobs2_vs_jobs1`` is the jobs-1
+median wall time over the jobs-2 median, so 1.0 or more means "no
+slower".
+
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_distcache.py --tenants 100 --queries 300
@@ -33,8 +41,10 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 _SRC = os.path.join(
@@ -42,7 +52,10 @@ _SRC = os.path.join(
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.distcache import run_partitioned_cell  # noqa: E402
+from repro.distcache import (  # noqa: E402
+    run_partitioned_cell,
+    run_partitioned_experiment,
+)
 from repro.experiments.tenants import (  # noqa: E402
     TenantExperimentConfig,
     run_tenant_cell,
@@ -53,6 +66,49 @@ from repro.sharding import ShardCoordinator  # noqa: E402
 DEFAULT_OUTPUT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "BENCH_distcache.json")
+
+
+#: The cells the jobs axis fans out: every scheme with an economy, each
+#: split into JOBS_PARTITIONS cache partitions.
+JOBS_SCHEMES = ("econ-col", "econ-cheap", "econ-fast")
+JOBS_PARTITIONS = 2
+
+
+def _jobs_axis(config: TenantExperimentConfig,
+               repetitions: int) -> List[Dict]:
+    """Time the economic schemes' partitioned cells at jobs 1 and 2.
+
+    The two job counts alternate within each repetition, so drift on the
+    machine hits both alike; each row keeps every repetition and reports
+    the median.
+    """
+    configs = [replace(config, scheme=scheme) for scheme in JOBS_SCHEMES]
+    timings: Dict[int, List[float]] = {1: [], 2: []}
+    identical = True
+    for _ in range(repetitions):
+        by_jobs = {}
+        for jobs in timings:
+            started = time.perf_counter()
+            by_jobs[jobs] = run_partitioned_experiment(
+                configs, partitions=JOBS_PARTITIONS, jobs=jobs,
+                compare_baseline=False)
+            timings[jobs].append(time.perf_counter() - started)
+        identical = identical and by_jobs[2] == by_jobs[1]
+    rows: List[Dict] = []
+    for jobs, elapsed in timings.items():
+        median_s = statistics.median(elapsed)
+        rows.append({
+            "jobs": jobs,
+            "partitions": JOBS_PARTITIONS,
+            "cells": len(configs),
+            "query_count": config.query_count,
+            "repetitions": repetitions,
+            "elapsed_s": median_s,
+            "elapsed_s_runs": elapsed,
+            "queries_per_s": config.query_count * len(configs) / median_s,
+            "identical_to_jobs1": identical,
+        })
+    return rows
 
 
 def _peak_global_cache_bytes(config: TenantExperimentConfig) -> int:
@@ -79,7 +135,9 @@ def _peak_global_cache_bytes(config: TenantExperimentConfig) -> int:
 def run_benchmark(tenant_count: int = 100, query_count: int = 300,
                   partition_counts: Sequence[int] = (1, 2, 4),
                   scheme: str = "econ-cheap", seed: int = 0,
-                  settlement_period_s: float = 30.0) -> Dict:
+                  settlement_period_s: float = 30.0,
+                  jobs_query_count: int = 2000,
+                  jobs_repetitions: int = 3) -> Dict:
     """Time both modes at each scale on one worker; record the artifact.
 
     Args:
@@ -92,6 +150,9 @@ def run_benchmark(tenant_count: int = 100, query_count: int = 300,
         seed: workload/population seed.
         settlement_period_s: barrier period (directory sync cadence for
             the partitioned runs, checkpoint cadence for the sharded ones).
+        jobs_query_count: queries per cell on the jobs axis; large enough
+            by default that cell work, not pool start-up, dominates.
+        jobs_repetitions: timed repetitions per job count on the jobs axis.
 
     Returns:
         The report dictionary written to ``BENCH_distcache.json``.
@@ -151,6 +212,8 @@ def run_benchmark(tenant_count: int = 100, query_count: int = 300,
                 "cache_hit_rate": report.cell.summary.cache_hit_rate,
                 "barriers_verified": report.barriers_verified,
             })
+    jobs_runs = _jobs_axis(
+        replace(config, query_count=jobs_query_count), jobs_repetitions)
     return {
         "benchmark": "distcache",
         "scheme": scheme,
@@ -158,6 +221,10 @@ def run_benchmark(tenant_count: int = 100, query_count: int = 300,
         "query_count": query_count,
         "seed": seed,
         "settlement_period_s": settlement_period_s,
+        "jobs_schemes": list(JOBS_SCHEMES),
+        "jobs_partitions": JOBS_PARTITIONS,
+        "jobs_query_count": jobs_query_count,
+        "jobs_repetitions": jobs_repetitions,
         "python": platform.python_version(),
         "unsharded": {
             "elapsed_s": unsharded_s,
@@ -165,6 +232,11 @@ def run_benchmark(tenant_count: int = 100, query_count: int = 300,
             "peak_worker_cache_bytes": global_peak,
         },
         "runs": runs,
+        "jobs_runs": jobs_runs,
+        "speedup": {
+            "jobs2_vs_jobs1": (jobs_runs[0]["elapsed_s"]
+                               / jobs_runs[1]["elapsed_s"]),
+        },
     }
 
 
@@ -209,6 +281,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"{run['elapsed_s']:.2f}s ({run['queries_per_s']:.0f} q/s, "
               f"peak {run['peak_worker_cache_bytes'] / 1024 ** 3:.0f} GB "
               f"cache/worker)")
+    for run in report["jobs_runs"]:
+        print(f"{run['cells']} cells x{run['partitions']} partitions, "
+              f"jobs={run['jobs']}: {run['elapsed_s']:.2f}s")
+    print(f"jobs2_vs_jobs1: {report['speedup']['jobs2_vs_jobs1']:.2f}x")
     print(f"report written to {path}")
     return 0
 

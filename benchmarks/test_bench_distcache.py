@@ -21,7 +21,8 @@ from repro.experiments.tenants import TenantExperimentConfig
 def test_distcache_scaling_report(output_dir):
     report = run_benchmark(tenant_count=30, query_count=120,
                            partition_counts=(1, 2),
-                           settlement_period_s=20.0)
+                           settlement_period_s=20.0,
+                           jobs_query_count=120, jobs_repetitions=1)
     by_mode = {}
     for run in report["runs"]:
         by_mode[(run["benchmark_mode"], run["partitions"])] = run
@@ -45,6 +46,12 @@ def test_distcache_scaling_report(output_dir):
             < by_mode[("partitioned", 2)]["remote_surcharge_dollars"])
     assert (by_mode[("adaptive", 2)]["directory_bytes_published"]
             < by_mode[("adaptive", 2)]["directory_bytes_full_republication"])
+
+    # The jobs axis: both job counts timed, the cell pool byte-identical
+    # to the sequential run.
+    assert [run["jobs"] for run in report["jobs_runs"]] == [1, 2]
+    assert all(run["identical_to_jobs1"] for run in report["jobs_runs"])
+    assert report["speedup"]["jobs2_vs_jobs1"] > 0
 
     path = write_report(report, f"{output_dir}/BENCH_distcache.json")
     with open(path, encoding="utf-8") as handle:

@@ -26,7 +26,8 @@ additionally splits each scheme cell into N tenant shards executed
 through :mod:`repro.sharding` (``--jobs`` sizes the pool those shard
 tasks share); the merged tables are byte-identical to the unsharded run.
 ``tenants --cache-partitions N`` instead partitions the *cache and
-provider economy* across N workers through :mod:`repro.distcache` —
+provider economy* N ways through :mod:`repro.distcache`, in one process
+per cell (``--jobs`` fans out the cells) —
 explicitly different semantics (remote hits, epoch-consistent directory);
 the report gains per-partition and divergence-vs-global sections, and
 ``--cache-partitions 1`` is byte-identical to the normal path. The two
@@ -307,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     tenants.add_argument("--cache-partitions", type=_positive_int, default=1,
                          metavar="N",
                          help="partition the cache and provider economy "
-                              "across N workers (repro.distcache) — "
+                              "N ways, in one process per cell "
+                              "(repro.distcache) — "
                               "explicitly different semantics for N > 1; "
                               "adds per-partition and divergence report "
                               "sections, mutually exclusive with --shards "
@@ -383,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "policy into the shocked cells")
     shocks.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                         help="worker processes for the clean/shocked pairs "
-                             "(default: 1, sequential; byte-identical)")
+                             "and the partitioned reruns (default: 1, "
+                             "sequential; byte-identical)")
     shocks.add_argument("--shards", type=_positive_int, default=1,
                         metavar="N",
                         help="additionally rerun the shocked cells split "

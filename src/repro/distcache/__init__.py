@@ -35,10 +35,13 @@ Typical use, directly or through ``repro.cli tenants --cache-partitions N``::
 
     report = run_partitioned_cell(
         TenantExperimentConfig(tenant_count=200, settlement_period_s=60.0),
-        partitions=4, max_workers=4)
+        partitions=4)
     report.cell                 # merged TenantCellResult
     report.barriers_verified    # audited settlement barriers
     report.baseline             # global-cache summary for the same seed
+
+A cell's partitions share one process; ``run_partitioned_experiment``'s
+``jobs`` fans independent cells over worker processes instead.
 """
 
 from repro.distcache.directory import (
@@ -79,7 +82,6 @@ from repro.distcache.runner import (
     DistCacheCellReport,
     DistCacheRunner,
     PartitionEpochResult,
-    PartitionEpochTask,
     PartitionImbalanceWarning,
     PartitionRunStats,
     run_partition_epoch,
@@ -100,7 +102,6 @@ __all__ = [
     "HandoffRecord",
     "PartitionCheckpoint",
     "PartitionEpochResult",
-    "PartitionEpochTask",
     "PartitionImbalanceWarning",
     "PartitionRunStats",
     "PartitionedCacheManager",

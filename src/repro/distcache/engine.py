@@ -346,7 +346,7 @@ class PartitionedEconomyEngine(EconomyEngine):
         is replayed in a fixed order). Recording is pure observation and
         only happens when the engine was built with
         ``record_placement_bids=True`` (adaptive runs) — hash-placement
-        runs never pay for, pickle, or drain the tally.
+        runs never pay for or drain the tally.
         """
         items = tuple(self._placement_bids.items())
         self._placement_bids.clear()

@@ -50,8 +50,8 @@ from repro.workload.query import Query
 class StructurePartitioner:
     """Maps structure keys onto ``partition_count`` partitions by stable hash.
 
-    Frozen (hashable, picklable) so it can ride inside a partition task to
-    a worker process and be reconstructed bit-for-bit on the other side.
+    Frozen (hashable, picklable), so every partition's cache can share one
+    instance and a runner can ship it to a cell worker bit-for-bit.
 
     Attributes:
         partition_count: number of cache partitions; any count >= 1 is valid.

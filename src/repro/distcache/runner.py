@@ -5,8 +5,7 @@ One partitioned cell run executes like this::
     route queries by template  ->  partition 0 .. N-1 substreams
     for each epoch (settlement barrier to settlement barrier):
         every partition replays its substream slice against its OWN
-        PartitionedCacheManager + provider sub-account (in-process, or
-        fanned over a ProcessPoolExecutor when max_workers > 1)
+        PartitionedCacheManager + provider sub-account, in this process
         at the barrier:
             settle maintenance on every partition up to the barrier
             [adaptive placement] drain per-structure benefit bids,
@@ -19,11 +18,11 @@ One partitioned cell run executes like this::
             verify sub-account ledger integrity + payment conservation
     final barrier: wallet integrity audit, fold into a TenantCellResult
 
-Workers are stateless between epochs: a partition's entire mutable state
-(cache, sub-account, regret, registry) travels inside its pickled scheme,
-so every epoch task is a pure function of its inputs and the run is
-deterministic regardless of pool scheduling — ``max_workers`` changes
-wall-clock, never results.
+A cell's partition schemes (cache, sub-account, regret, registry) stay
+live in one process and replay in partition order, so nothing is
+serialised between barriers. More cores go to *independent cells*:
+:meth:`DistCacheRunner.run_cells` fans cells over a process pool of
+``max_workers``, which changes wall-clock, never results.
 
 Unlike the replicated-replay sharding mode, each query here is planned,
 priced, and negotiated by exactly **one** partition: total per-query
@@ -37,6 +36,7 @@ divergence report against the global-cache baseline and documented in
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -100,18 +100,8 @@ class PartitionImbalanceWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class PartitionEpochTask:
-    """Everything one partition worker needs to replay one epoch."""
-
-    scheme: CachingScheme
-    items: Tuple[Tuple[int, object], ...]
-    settle_to_s: float
-    last_settled_s: float
-
-
-@dataclass(frozen=True)
 class PartitionEpochResult:
-    """One partition's epoch output: updated state plus the replay record.
+    """One partition's epoch output: the replay record.
 
     ``eviction_losses`` carries the dollar loss of each kernel-driven
     eviction (invalidation shocks, strict-maintenance shutdowns) in
@@ -120,7 +110,6 @@ class PartitionEpochResult:
     unpartitioned run.
     """
 
-    scheme: CachingScheme
     steps: Tuple[SchemeStep, ...]
     maintenance: Tuple[Tuple[float, float], ...]
     last_settled_s: float
@@ -220,26 +209,25 @@ class DistCacheCellReport:
         return sum(pub.full_bytes for pub in self.publications)
 
 
-def run_partition_epoch(task: PartitionEpochTask) -> PartitionEpochResult:
-    """Replay one partition's slice of one epoch (process-pool entry point).
+def run_partition_epoch(scheme: CachingScheme,
+                        items: Sequence[Tuple[float, int, int, object]],
+                        settle_to_s: float,
+                        last_settled_s: float) -> PartitionEpochResult:
+    """Replay one partition's slice of one epoch, mutating its scheme.
 
-    Items carry the same instant-ordering ranks the simulation kernel
-    uses, so maintenance settles at exactly the instants — and in exactly
-    the order — the unpartitioned event loop would settle at.
+    ``items`` are ``DistCacheRunner._epoch_items`` entries, whose ranks
+    mirror the kernel's instant ordering, so maintenance settles at exactly
+    the instants — and in exactly the order — the unpartitioned event loop
+    would settle at.
     """
-    if not isinstance(task, PartitionEpochTask):
-        raise DistCacheError(
-            f"expected a PartitionEpochTask, got {type(task).__name__}")
-    scheme = task.scheme
     registry = scheme.tenant_registry
     steps: List[SchemeStep] = []
     maintenance: List[Tuple[float, float]] = []
     eviction_losses: List[float] = []
-    last_settled_s = task.last_settled_s
     # Economic schemes score the whole epoch slice in one vectorized pass;
     # the bypass scheme ignores the priming (see CachingScheme.prime_workload).
     scheme.prime_workload(tuple(
-        payload for rank, payload in task.items if rank == _PRIORITY_QUERY
+        payload for _, rank, _, payload in items if rank == _PRIORITY_QUERY
     ))
 
     def settle(now: float) -> None:
@@ -250,7 +238,7 @@ def run_partition_epoch(task: PartitionEpochTask) -> PartitionEpochResult:
             return
         maintenance.append((scheme.maintenance_rate() * elapsed, elapsed))
 
-    for rank, payload in task.items:
+    for _, rank, _, payload in items:
         if rank == _PRIORITY_QUERY:
             settle(payload.arrival_time)
             steps.append(scheme.process(payload))
@@ -278,14 +266,13 @@ def run_partition_epoch(task: PartitionEpochTask) -> PartitionEpochResult:
             scheme.apply_budget_squeeze(payload.factor, payload.time_s)
         else:
             raise DistCacheError(f"unknown epoch item rank {rank}")
-    settle(task.settle_to_s)
+    settle(settle_to_s)
     # The barrier doubles as the settlement event: strict-maintenance
     # shutdown priorities run here, exactly like SchemeTenant.on_settlement.
-    records = scheme.enforce_maintenance(task.settle_to_s)
+    records = scheme.enforce_maintenance(settle_to_s)
     eviction_losses.extend(
         scheme.eviction_loss(record) for record in records)
     return PartitionEpochResult(
-        scheme=scheme,
         steps=tuple(steps),
         maintenance=tuple(maintenance),
         last_settled_s=last_settled_s,
@@ -298,7 +285,7 @@ class DistCacheRunner:
 
     Args:
         partition_count: cache partitions per cell.
-        max_workers: process-pool size for the per-epoch partition tasks.
+        max_workers: process-pool size over the cells of :meth:`run_cells`.
         remote: the remote-access surcharge model in force.
         compare_baseline: also run the global-cache twin for the
             divergence report (skipped with one partition).
@@ -344,9 +331,8 @@ class DistCacheRunner:
         self._handoff_threshold = handoff_threshold
         self._anchor_period = anchor_period
         # Observability sinks (duck-typed TraceRecorder); None = disabled.
-        # Per-partition recorders live on the engines (travelling through
-        # the per-epoch pickle round-trips inside their schemes) and are
-        # absorbed into these collectors when a cell completes. The
+        # Per-partition recorders live on the engines and are absorbed
+        # into these collectors when a cell completes. The
         # partitioned run has no kernel, so the barrier loop below doubles
         # as the metrics sampler: per-partition samples are taken off the
         # live engines at every barrier, exactly where a kernel run's
@@ -480,8 +466,7 @@ class DistCacheRunner:
         queries = list(populated.queries)
         schemes = self._build_schemes(config, populated.profiles)
         if self._trace is not None or self._metrics is not None:
-            # Per-partition recorders ride inside the schemes through the
-            # per-epoch worker round-trips; absorbed after the last barrier.
+            # Per-partition recorders are absorbed after the last barrier.
             from repro.obs.metrics import MetricsTimeseries, combined_recorder
             from repro.obs.trace import TraceRecorder
 
@@ -533,82 +518,57 @@ class DistCacheRunner:
         publications: List[DirectoryPublication] = []
         directory = CrossShardDirectory.empty()
 
-        executor: Optional[ProcessPoolExecutor] = None
-        workers = min(self._max_workers, self.partition_count)
-        if workers > 1:
-            executor = ProcessPoolExecutor(max_workers=workers)
-        try:
-            for epoch, barrier in enumerate(barriers):
-                is_final = epoch == len(barriers) - 1
-                tasks: List[PartitionEpochTask] = []
-                for partition, scheme in enumerate(schemes):
-                    partition_items = items[partition]
-                    begin = cursor[partition]
-                    index = begin
-                    while index < len(partition_items):
-                        time_s, rank, _, _ = partition_items[index]
-                        # Interior barriers cut like the kernel's event
-                        # order: a settlement outranks same-instant
-                        # queries. The final barrier closes the run, so it
-                        # drains everything (a zero-trailing run can place
-                        # its last arrival exactly at the end instant).
-                        if (not is_final
-                                and (time_s, rank) >= (barrier,
-                                                       _PRIORITY_BARRIER)):
-                            break
-                        index += 1
-                    cursor[partition] = index
-                    tasks.append(PartitionEpochTask(
-                        scheme=scheme,
-                        items=tuple((rank, payload) for _, rank, _, payload
-                                    in partition_items[begin:index]),
-                        settle_to_s=barrier,
-                        last_settled_s=last_settled[partition],
-                    ))
-                if executor is not None:
-                    results = list(executor.map(run_partition_epoch, tasks))
-                else:
-                    results = [run_partition_epoch(task) for task in tasks]
+        for epoch, barrier in enumerate(barriers):
+            is_final = epoch == len(barriers) - 1
+            for partition, scheme in enumerate(schemes):
+                partition_items = items[partition]
+                begin = cursor[partition]
+                # Interior barriers cut like the kernel's event order: a
+                # settlement outranks same-instant queries. The final
+                # barrier closes the run, so it drains everything (a
+                # zero-trailing run can place its last arrival exactly at
+                # the end instant).
+                index = (len(partition_items) if is_final else bisect_left(
+                    partition_items, (barrier, _PRIORITY_BARRIER), lo=begin,
+                    key=lambda item: item[:2]))
+                cursor[partition] = index
+                result = run_partition_epoch(
+                    scheme, partition_items[begin:index], barrier,
+                    last_settled[partition])
+                steps[partition].extend(result.steps)
+                maintenance[partition].extend(result.maintenance)
+                kernel_losses[partition].extend(result.eviction_losses)
+                last_settled[partition] = result.last_settled_s
 
-                for partition, result in enumerate(results):
-                    schemes[partition] = result.scheme
-                    steps[partition].extend(result.steps)
-                    maintenance[partition].extend(result.maintenance)
-                    kernel_losses[partition].extend(result.eviction_losses)
-                    last_settled[partition] = result.last_settled_s
-
-                applied: List[HandoffRecord] = []
-                if policy is not None:
-                    applied = self._apply_handoffs(
-                        schemes, policy, epoch=epoch + 1, now=barrier)
-                    handoffs.extend(applied)
-                self._forward_regret(schemes)
-                directory, publication = self._publish_directory(
-                    schemes, epoch + 1, previous=directory)
-                publications.append(publication)
-                checkpoints.append(self._checkpoint(
-                    schemes, barrier, epoch + 1, directory,
-                    handoffs_applied=len(applied)))
-                if self._trace is not None:
-                    epoch_start = barriers[epoch - 1] if epoch else start_s
-                    self._trace.span(
-                        "settlement_barrier", start_s=epoch_start,
-                        end_s=barrier, epoch=epoch + 1,
-                        directory_entries=len(directory),
-                        directory_delta_bytes=publication.delta_bytes,
-                        handoffs_applied=len(applied), final=is_final)
-                    for record in applied:
-                        self._trace.event(
-                            "handoff", time_s=barrier, key=record.key,
-                            from_partition=record.from_partition,
-                            to_partition=record.to_partition)
-                if self._metrics is not None:
-                    self._sample_barrier(schemes, barrier, epoch + 1,
-                                         is_final, directory, publication,
-                                         len(applied))
-        finally:
-            if executor is not None:
-                executor.shutdown()
+            applied: List[HandoffRecord] = []
+            if policy is not None:
+                applied = self._apply_handoffs(
+                    schemes, policy, epoch=epoch + 1, now=barrier)
+                handoffs.extend(applied)
+            self._forward_regret(schemes)
+            directory, publication = self._publish_directory(
+                schemes, epoch + 1, previous=directory)
+            publications.append(publication)
+            checkpoints.append(self._checkpoint(
+                schemes, barrier, epoch + 1, directory,
+                handoffs_applied=len(applied)))
+            if self._trace is not None:
+                epoch_start = barriers[epoch - 1] if epoch else start_s
+                self._trace.span(
+                    "settlement_barrier", start_s=epoch_start,
+                    end_s=barrier, epoch=epoch + 1,
+                    directory_entries=len(directory),
+                    directory_delta_bytes=publication.delta_bytes,
+                    handoffs_applied=len(applied), final=is_final)
+                for record in applied:
+                    self._trace.event(
+                        "handoff", time_s=barrier, key=record.key,
+                        from_partition=record.from_partition,
+                        to_partition=record.to_partition)
+            if self._metrics is not None:
+                self._sample_barrier(schemes, barrier, epoch + 1,
+                                     is_final, directory, publication,
+                                     len(applied))
 
         registries = [scheme.tenant_registry for scheme in schemes]
         verify_wallet_integrity(registries)
@@ -662,11 +622,40 @@ class DistCacheRunner:
 
     def run_cells(self, configs: Sequence[TenantExperimentConfig]
                   ) -> List[DistCacheCellReport]:
-        """Run many cells (sequentially; partitions parallelise within)."""
+        """Run many cells, fanned over a process pool of ``max_workers``.
+
+        Pooled reports are byte-identical to sequential ones, in
+        ``configs`` order; observed runs stay sequential so records land
+        in one recorder. A pooled cell's warnings are re-emitted here in
+        cell order, so callers see the same warnings either way.
+        """
         cells = list(configs)
         if not cells:
             raise DistCacheError("at least one tenant cell is required")
-        return [self.run_cell(config) for config in cells]
+        if (self._max_workers == 1 or len(cells) == 1
+                or self._trace is not None or self._metrics is not None):
+            return [self.run_cell(config) for config in cells]
+        with ProcessPoolExecutor(
+                max_workers=min(self._max_workers, len(cells))) as executor:
+            outputs = list(executor.map(self._run_cell_recording, cells))
+        # One registry for the whole batch: a "default" filter then shows
+        # a warning repeated by several cells once, as sequential runs do.
+        registry: Dict = {}
+        for _, caught in outputs:
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno,
+                                       registry=registry)
+        return [report for report, _ in outputs]
+
+    def _run_cell_recording(self, config: TenantExperimentConfig):
+        """Pool entry point: one cell's report plus its warnings, as
+        ``(message, category, filename, lineno)`` tuples."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = self.run_cell(config)
+        return report, tuple(
+            (entry.message, entry.category, entry.filename, entry.lineno)
+            for entry in caught)
 
     # -- barrier work ----------------------------------------------------------
 
@@ -883,7 +872,6 @@ class DistCacheRunner:
 
 def run_partitioned_cell(config: TenantExperimentConfig,
                          partitions: int,
-                         max_workers: int = 1,
                          remote: RemoteAccessModel = RemoteAccessModel(),
                          compare_baseline: bool = True,
                          placement: str = "hash",
@@ -891,8 +879,8 @@ def run_partitioned_cell(config: TenantExperimentConfig,
                          anchor_period: int = DEFAULT_ANCHOR_PERIOD,
                          trace=None, metrics=None) -> DistCacheCellReport:
     """Run one tenant cell in partitioned-cache mode (convenience wrapper)."""
-    runner = DistCacheRunner(partitions, max_workers=max_workers,
-                             remote=remote, compare_baseline=compare_baseline,
+    runner = DistCacheRunner(partitions, remote=remote,
+                             compare_baseline=compare_baseline,
                              placement=placement,
                              handoff_threshold=handoff_threshold,
                              anchor_period=anchor_period,
@@ -910,7 +898,7 @@ def run_partitioned_experiment(configs: Sequence[TenantExperimentConfig],
                                anchor_period: int = DEFAULT_ANCHOR_PERIOD,
                                trace=None,
                                metrics=None) -> List[DistCacheCellReport]:
-    """Run many cells partitioned; ``jobs`` sizes each cell's worker pool."""
+    """Run many cells partitioned; ``jobs`` sizes the pool over the cells."""
     runner = DistCacheRunner(partitions, max_workers=jobs, remote=remote,
                              compare_baseline=compare_baseline,
                              placement=placement,

@@ -21,9 +21,7 @@ per-query inside the engine, so outcomes do not depend on how arrivals
 were grouped into blocks.
 
 Evaluated blocks are dropped as soon as their last query is consumed, so
-a scheduler that has drained an epoch holds no numpy arrays — relevant in
-the partitioned runner, where schemes are pickled back to the coordinator
-after every epoch.
+a scheduler that has drained an epoch holds no numpy arrays.
 """
 
 from __future__ import annotations

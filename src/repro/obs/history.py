@@ -52,7 +52,7 @@ HISTORY_SCHEMA_VERSION = 1
 #: Bench-document fields that describe *results*, not configuration.
 #: Everything else participates in the comparability hash.
 RESULT_FIELDS = frozenset({
-    "runs", "python", "unsharded", "speedup",
+    "runs", "jobs_runs", "python", "unsharded", "speedup",
     "outcomes_identical", "conservation_exact",
 })
 
@@ -75,6 +75,8 @@ METRIC_DIRECTIONS: Dict[str, Optional[str]] = {
     "batched_cold_queries_per_s": "higher",
     "batched_warm_queries_per_s": "higher",
     "clean_queries_per_s": "higher",
+    # Partitioned cells: jobs-1 wall time over jobs-2 wall time.
+    "jobs2_vs_jobs1": "higher",
     "remote_surcharge_dollars": "lower",
     "remote_hit_rate": "lower",
     "max_cost_ratio": "lower",
@@ -127,6 +129,9 @@ def history_metrics(document: Mapping[str, object]) -> Dict[str, float]:
         put("best_queries_per_s",
             max((run.get("queries_per_s", 0.0) for run in runs),
                 default=None))
+        speedup = document.get("speedup")
+        if isinstance(speedup, Mapping):
+            put("jobs2_vs_jobs1", speedup.get("jobs2_vs_jobs1"))
     elif kind == "placement":
         adaptive = [run for run in runs
                     if run.get("placement") == "adaptive"]

@@ -14,8 +14,8 @@ recorder surface (``count`` / ``event`` / ``span``), so the engine,
 cache, and batch scheduler feed it through the existing
 ``attach_trace`` hook behind one attribute check; samplers are read-only
 kernel observers that never touch RNG state or account arithmetic; and
-per-shard / per-partition collectors are plain picklable data absorbed
-at barriers exactly like :class:`~repro.obs.trace.TraceRecorder`.
+per-shard / per-partition collectors are plain data absorbed at
+barriers exactly like :class:`~repro.obs.trace.TraceRecorder`.
 
 When both ``--trace`` and ``--metrics`` are requested, the two sinks are
 fanned out through a :class:`RecorderTee` (components still hold a
@@ -63,8 +63,8 @@ class MetricsTimeseries:
 
     Args:
         source: label stamped on every sample (``"run"`` for the main
-            path, ``"shard3"`` / ``"partition1"`` for per-worker
-            collectors merged later).
+            path, ``"shard3"`` / ``"partition1"`` for per-shard and
+            per-partition collectors merged later).
     """
 
     def __init__(self, source: str = "run") -> None:
@@ -316,8 +316,7 @@ class RecorderTee:
 
     Components hold a single observability attribute (``self._trace``);
     when a run wants both a trace and a metrics timeseries, the tee lets
-    them share the attach point. Plain picklable data, so it rides the
-    same process-pool round-trips its sinks do.
+    them share the attach point. Plain picklable data, like its sinks.
     """
 
     def __init__(self, *sinks) -> None:

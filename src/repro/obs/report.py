@@ -160,16 +160,16 @@ def _headline(ingest: BenchIngest) -> Dict[str, object]:
         headline["handoffs"] = sum(run.get("handoffs", 0) for run in adaptive)
         headline["remote_hits"] = sum(
             run.get("remote_hits", 0) for run in adaptive)
-    elif ingest.kind == "planner":
-        speedup = data.get("speedup")
-        if isinstance(speedup, Mapping):
-            headline["speedup"] = dict(speedup)
     elif ingest.kind == "shocks":
         ratios = [run.get("cost_ratio") for run in runs
                   if isinstance(run.get("cost_ratio"), (int, float))]
         if ratios:
             headline["max_cost_ratio"] = max(ratios)
         headline["grammar"] = data.get("grammar")
+    speedup = data.get("speedup")
+    if ingest.kind in ("distcache", "planner") and isinstance(speedup,
+                                                             Mapping):
+        headline["speedup"] = dict(speedup)
     return headline
 
 

@@ -66,6 +66,8 @@ BENCH_EXTRA_FIELDS: Dict[str, Tuple[SchemaField, ...]] = {
         SchemaField("tenant_count", (int,)),
         SchemaField("query_count", (int,)),
         SchemaField("unsharded", (dict,)),
+        SchemaField("jobs_runs", (list,)),
+        SchemaField("speedup", (dict,)),
     ),
     "placement": (
         SchemaField("scheme", (str,)),

@@ -210,6 +210,19 @@ class TestPartitionedTenantsCli:
         assert "serve no queries" in captured.err
         assert "Cache partitions - econ-cheap x 16 partitions" in captured.out
 
+    def test_pooled_cells_keep_the_imbalance_warning(self, capsys):
+        args = ["tenants", "--n-tenants", "8", "--queries", "20",
+                "--schemes", "econ-cheap,econ-fast",
+                "--cache-partitions", "16"]
+        assert main(args + ["--jobs", "1"]) == 0
+        sequential = capsys.readouterr()
+        assert main(args + ["--jobs", "2"]) == 0
+        pooled = capsys.readouterr()
+        assert sequential.err.count("warning:") == 1
+        assert "serve no queries" in sequential.err
+        assert pooled.err == sequential.err
+        assert pooled.out == sequential.out
+
     def test_bypass_scheme_reports_cleanly(self, capsys):
         assert main(["tenants", "--schemes", "bypass", "--queries", "12",
                      "--n-tenants", "4", "--cache-partitions", "2"]) == 2

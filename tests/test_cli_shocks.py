@@ -114,6 +114,18 @@ class TestShocksScalingModes:
         assert "conservation: exact across 2 partitions" in output
         assert "Cache partitions - econ-cheap x 2 partitions" in output
 
+    def test_partitioned_rerun_cells_pool_byte_identically(self, capsys):
+        args = ["shocks", "--schemes", "econ-col,econ-cheap",
+                "--n-tenants", "6", "--queries", "30",
+                "--interarrival", "5.0", "--settlement-period", "25.0",
+                "--cache-partitions", "2"]
+        assert main(args + ["--jobs", "1"]) == 0
+        sequential = capsys.readouterr().out
+        assert main(args + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == sequential
+        assert sequential.count("conservation: exact across 2 partitions") \
+            == 2
+
     def test_adaptive_placement_composes_with_shocks(self, capsys):
         assert main(ARGS + ["--cache-partitions", "2",
                             "--placement", "adaptive"]) == 0

@@ -8,13 +8,14 @@ The load-bearing properties:
   equal or sub-threshold challengers out.
 * **Override table** — consulted before the hash fallback, canonical
   (no redundant entries, key-sorted, equal mappings compare equal), and
-  picklable so it rides to worker processes.
+  picklable so it rides to cell worker processes.
 * **End-to-end handoffs** — adaptive runs move hot structures, keep
   every conservation audit bitwise exact, and report the handoffs; an
   unreachable threshold degenerates to the hash run.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from repro.distcache import (
     PlacementPolicy,
     StructurePartitioner,
     run_partitioned_cell,
+    run_partitioned_experiment,
 )
 from repro.errors import DistCacheError
 from repro.experiments.tenants import TenantExperimentConfig
@@ -236,14 +238,23 @@ class TestAdaptiveRuns:
                    for stats in adaptive_report.partitions) \
             == CONFIG.query_count
 
-    def test_worker_pool_never_changes_results(self, adaptive_report):
-        parallel = run_partitioned_cell(CONFIG, partitions=2, max_workers=2,
-                                        compare_baseline=False,
-                                        placement="adaptive")
-        assert parallel.cell.summary == adaptive_report.cell.summary
-        assert parallel.handoffs == adaptive_report.handoffs
-        assert parallel.checkpoints == adaptive_report.checkpoints
-        assert parallel.publications == adaptive_report.publications
+    def test_cell_pool_never_changes_results(self):
+        configs = [replace(CONFIG, scheme=scheme)
+                   for scheme in ("econ-cheap", "econ-fast")]
+        sequential = run_partitioned_experiment(
+            configs, partitions=2, jobs=1, compare_baseline=False,
+            placement="adaptive")
+        pooled = run_partitioned_experiment(
+            configs, partitions=2, jobs=2, compare_baseline=False,
+            placement="adaptive")
+        assert any(report.handoffs for report in sequential)
+        for alone, fanned in zip(sequential, pooled):
+            assert fanned.cell.summary == alone.cell.summary
+            assert fanned.cell.tenants == alone.cell.tenants
+            assert fanned.cell.wallet_credit == alone.cell.wallet_credit
+            assert fanned.checkpoints == alone.checkpoints
+            assert fanned.handoffs == alone.handoffs
+            assert fanned.publications == alone.publications
 
     def test_unreachable_threshold_degenerates_to_hash(self, hash_report):
         frozen = run_partitioned_cell(CONFIG, partitions=2,

@@ -1,5 +1,7 @@
 """Tests for the partitioned-cell runner: fidelity, determinism, audits."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.distcache import (
@@ -8,6 +10,7 @@ from repro.distcache import (
     distcache_divergence_table,
     distcache_partition_table,
     run_partitioned_cell,
+    run_partitioned_experiment,
 )
 from repro.errors import DistCacheError
 from repro.experiments.tenants import (
@@ -76,13 +79,22 @@ class TestDeterminism:
         assert again.cell.wallet_credit == two_partitions.cell.wallet_credit
         assert again.checkpoints == two_partitions.checkpoints
 
-    def test_worker_count_never_changes_results(self, two_partitions):
-        parallel = run_partitioned_cell(CONFIG, partitions=2, max_workers=2,
-                                        compare_baseline=False)
-        assert parallel.cell.summary == two_partitions.cell.summary
-        assert parallel.cell.tenants == two_partitions.cell.tenants
-        assert parallel.cell.wallet_credit == two_partitions.cell.wallet_credit
-        assert parallel.checkpoints == two_partitions.checkpoints
+    def test_cell_pool_never_changes_results(self):
+        configs = [replace(CONFIG, scheme=scheme)
+                   for scheme in ("econ-cheap", "econ-fast")]
+        sequential = run_partitioned_experiment(
+            configs, partitions=2, jobs=1, compare_baseline=False)
+        pooled = run_partitioned_experiment(
+            configs, partitions=2, jobs=2, compare_baseline=False)
+        assert [report.cell.config.scheme for report in pooled] == [
+            "econ-cheap", "econ-fast"]
+        for alone, fanned in zip(sequential, pooled):
+            assert fanned.cell.summary == alone.cell.summary
+            assert fanned.cell.tenants == alone.cell.tenants
+            assert fanned.cell.wallet_credit == alone.cell.wallet_credit
+            assert fanned.checkpoints == alone.checkpoints
+            assert fanned.handoffs == alone.handoffs
+            assert fanned.publications == alone.publications
 
 
 class TestAudits:
