@@ -93,9 +93,6 @@ from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_grid
 from repro.experiments.shocks import run_shock_resilience, shock_resilience_table
 from repro.experiments.tenants import (
-    ARRIVAL_EAGER,
-    ARRIVAL_MODES,
-    ARRIVAL_STREAMED,
     TenantExperimentConfig,
     run_tenant_experiment,
     tenant_aggregate_table,
@@ -335,16 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "invalidate@FRAC[:PREDICATE], "
                               "price@FRAC:DUR:FACTOR or "
                               "squeeze@FRAC:DUR:FACTOR (repeatable)")
-    tenants.add_argument("--arrival-mode", choices=ARRIVAL_MODES,
-                         default=ARRIVAL_EAGER,
-                         help="'eager' materialises the whole populated "
-                              "workload up front; 'streamed' derives tenant "
-                              "profiles generatively at first arrival and "
-                              "feeds queries through a bounded lookahead "
-                              "window, so memory scales with live tenants "
-                              "instead of --n-tenants — tables are "
-                              "byte-identical between the two "
-                              "(default: eager)")
     tenants.add_argument("--strict-maintenance", action="store_true",
                          help="enable the strict-maintenance shutdown "
                               "policy at settlement boundaries")
@@ -643,12 +630,6 @@ def _tenants_command(args: argparse.Namespace,
             "partition every structure is local and there is no placement "
             "to adapt"
         )
-    if args.arrival_mode == ARRIVAL_STREAMED and args.cache_partitions > 1:
-        raise ReproError(
-            "--arrival-mode streamed does not support --cache-partitions: "
-            "the distributed cache materialises per-partition workloads "
-            "eagerly (use --shards for streamed scale-out)"
-        )
     configs = [
         TenantExperimentConfig(
             scheme=name,
@@ -664,7 +645,6 @@ def _tenants_command(args: argparse.Namespace,
             settlement_period_s=args.settlement_period,
             shocks=tuple(args.shock),
             strict_maintenance=args.strict_maintenance,
-            arrival_mode=args.arrival_mode,
         )
         for name in names
     ]

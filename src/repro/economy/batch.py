@@ -3,15 +3,17 @@
 The :class:`BatchScheduler` sits between the simulator and the engine's
 per-query pipeline: :meth:`BatchScheduler.prime` receives the upcoming
 arrivals (once per run, or once per partition epoch in the distributed
-runner) and splits them into **epochs** at settlement boundaries; when the
-engine asks for the first query of an unevaluated epoch, every template's
-batch across as many consecutive epochs as fit in the memory bound is
-scored in one vectorized pass
-(:func:`repro.costmodel.vectorized.evaluate_plan_table`) and the per-query
-results are handed out as the queries arrive. A query nobody primed (a
-streamed arrival, a direct ``process_query`` call, a query id seen twice)
-is scored on demand as a one-query block, leaving the primed window as it
-is.
+runner) and splits them into **epochs** at settlement boundaries, and
+:meth:`BatchScheduler.extend` queues more arrivals behind them without
+touching what is already primed (a streamed run hands over each slice of
+its lookahead window this way). When the engine asks for the first query
+of an unevaluated epoch, every template's batch across as many
+consecutive epochs as fit in the memory bound is scored in one
+vectorized pass (:func:`repro.costmodel.vectorized.evaluate_plan_table`)
+and the per-query results are handed out as the queries arrive. A query
+nobody primed (a direct ``process_query`` call, a query id seen twice)
+is scored on demand as a one-query block, leaving the primed window as
+it is.
 
 Only *execution estimates* are precomputed this way — they depend on the
 query instance and the immutable cost model alone, never on cache state,
@@ -98,7 +100,9 @@ class BatchScheduler:
         self._execution = execution_model
         self._tables = tables if tables is not None else PlanTableCache()
         self._max_batch = max_batch_size
-        self._epochs: List[List[Query]] = []
+        # Unevaluated epochs by sequence number; evaluating one drops it.
+        self._epochs: Dict[int, List[Query]] = {}
+        self._next_epoch = 0
         self._epoch_of: Dict[int, int] = {}
         self._window_end = -1
         self._blocks: Dict[str, _TemplateBlock] = {}
@@ -132,33 +136,41 @@ class BatchScheduler:
                 settlement events form one epoch); otherwise the workload
                 is chunked by :data:`DEFAULT_MAX_BATCH_SIZE` alone.
         """
+        self.clear()
         ordered = list(queries)
-        epochs: List[List[Query]] = []
-        if ordered and settlement_period_s:
-            start_s = ordered[0].arrival_time
-            last_slot: Optional[int] = None
-            for query in ordered:
-                slot = int((query.arrival_time - start_s) // settlement_period_s)
-                if slot != last_slot:
-                    epochs.append([])
-                    last_slot = slot
-                epochs[-1].append(query)
-        elif ordered:
-            epochs.append(ordered)
-        # Cap epoch size so one vectorized pass stays memory-bounded.
-        capped: List[List[Query]] = []
-        for epoch in epochs:
-            for offset in range(0, len(epoch), self._max_batch):
-                capped.append(epoch[offset:offset + self._max_batch])
-        self._epochs = capped
-        self._epoch_of = {}
-        for index, epoch in enumerate(capped):
+        if not (ordered and settlement_period_s):
+            self.extend(ordered)
+            return
+        start_s = ordered[0].arrival_time
+        epoch: List[Query] = []
+        last_slot: Optional[int] = None
+        for query in ordered:
+            slot = int((query.arrival_time - start_s) // settlement_period_s)
+            if slot != last_slot and epoch:
+                self.extend(epoch)
+                epoch = []
+            last_slot = slot
+            epoch.append(query)
+        self.extend(epoch)
+
+    def extend(self, queries: Sequence[Query]) -> None:
+        """Queue more upcoming arrivals behind the ones already primed.
+
+        Append-only: unconsumed primed queries and evaluated windows stay
+        as they are, and the new arrivals form epochs of their own (split
+        at :data:`DEFAULT_MAX_BATCH_SIZE`). A streamed run calls this with
+        each slice of its lookahead window, so consecutive slices are
+        scored together in one vectorized window when the first of them
+        arrives.
+        """
+        ordered = list(queries)
+        for offset in range(0, len(ordered), self._max_batch):
+            index = self._next_epoch
+            self._next_epoch += 1
+            epoch = ordered[offset:offset + self._max_batch]
+            self._epochs[index] = epoch
             for query in epoch:
                 self._epoch_of[query.query_id] = index
-        self._window_end = -1
-        self._blocks = {}
-        self._columns = {}
-        self._remaining = 0
 
     def view_for(self, query: Query
                  ) -> Tuple[PlanTable, BatchPlanEstimates, int]:
@@ -194,7 +206,8 @@ class BatchScheduler:
 
     def clear(self) -> None:
         """Drop all primed queries and evaluated blocks."""
-        self._epochs = []
+        self._epochs = {}
+        self._next_epoch = 0
         self._epoch_of = {}
         self._window_end = -1
         self._blocks = {}
@@ -219,12 +232,11 @@ class BatchScheduler:
         # evaluation is amortized across them.
         queries: List[Query] = []
         index = start
-        while index < len(self._epochs):
+        while index in self._epochs:
             epoch_queries = self._epochs[index]
             if queries and len(queries) + len(epoch_queries) > self._max_batch:
                 break
-            queries.extend(epoch_queries)
-            self._epochs[index] = []
+            queries.extend(self._epochs.pop(index))
             self._window_end = index
             index += 1
         groups: Dict[str, List[Query]] = {}

@@ -332,6 +332,15 @@ class EconomyEngine:
             self._batch.attach_trace(self._trace)
         self._batch.prime(queries, settlement_period_s)
 
+    def extend_queries(self, queries: Sequence[Query]) -> None:
+        """Queue more upcoming arrivals behind the primed ones.
+
+        Append-only (see :meth:`BatchScheduler.extend`): a streamed run
+        hands over each slice of its lookahead window, and the scheduler
+        scores consecutive slices in one vectorized window.
+        """
+        self._batch.extend(queries)
+
     def process_query(self, query: Query,
                       now: Optional[float] = None) -> QueryOutcome:
         """Run one query through the economy and return its outcome."""

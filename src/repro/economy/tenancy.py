@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
                     Set, Tuple)
 
-from repro.economy.account import CloudAccount
+from repro.economy.account import CloudAccount, ledger_fold
 from repro.economy.budget import BudgetFunction
 from repro.economy.regret import RegretTracker
 from repro.economy.user_model import UserModel
@@ -401,7 +401,10 @@ class GenerativeTenantRegistry(TenantRegistry):
       a charged wallet to two floats in an archive (a tenant that never
       paid anything needs no archive at all — rematerialisation rebuilds
       it exactly). A returning tenant resumes with its archived balance,
-      honouring the base class's retention contract.
+      honouring the base class's retention contract. The dropped ledger
+      is folded first, and a balance that does not fold bitwise from it
+      is counted in :attr:`archived_ledger_mismatches` (the conservation
+      audit reads it, since the ledger itself is gone afterwards).
 
     Resident full states are therefore bounded by the tenants that are
     both *live and charged* plus the churned-but-charged archive (two
@@ -453,6 +456,9 @@ class GenerativeTenantRegistry(TenantRegistry):
         self._archived: Dict[int, Tuple[float, float]] = {}
         self._adhoc_ids: List[str] = []
         self.peak_materialized = 0
+        #: States dropped at churn whose balance did not fold bitwise from
+        #: their own ledger (checked before the ledger is thrown away).
+        self.archived_ledger_mismatches = 0
 
     # -- generative internals --------------------------------------------------
 
@@ -476,10 +482,13 @@ class GenerativeTenantRegistry(TenantRegistry):
         index the seed credit joins the conserved total, exactly as the
         eager path's up-front registration would have deposited it.
         """
+        owns = self._owns
+        credit_for = self._source.initial_credit_for
         for index in range(self._minted, new_minted):
-            if self._owned_index(index, tenant_id_for(index)):
+            # Only an ownership predicate needs the formatted id.
+            if owns is None or owns(index, tenant_id_for(index)):
                 self._owned_minted += 1
-                self._seed_total += self._source.initial_credit_for(index)
+                self._seed_total += credit_for(index)
         if new_minted > self._minted:
             self._minted = new_minted
 
@@ -589,6 +598,8 @@ class GenerativeTenantRegistry(TenantRegistry):
         if state is not None:
             state.active = False
             state.churned_at_s = now
+            if ledger_fold(state.account) != state.account.credit:
+                self.archived_ledger_mismatches += 1
             if state.account.total_withdrawn() > 0:
                 self._archived[index] = (state.account.credit,
                                          state.account.total_withdrawn())

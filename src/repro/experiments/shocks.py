@@ -29,23 +29,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.distcache.merge import ledger_fold
-from repro.economy.account import CloudAccount
-from repro.economy.engine import EconomyConfig
-from repro.economy.tenancy import TenantRegistry
+from repro.economy.account import CloudAccount, ledger_fold
 from repro.errors import ExperimentError
 from repro.experiments.reporting import format_table
 from repro.experiments.tenants import (
     TenantCellResult,
     TenantExperimentConfig,
-    build_population,
     run_tenant_cell,
-    sorted_breakdowns,
+    simulate_cell,
 )
-from repro.policies.economic import EconomicSchemeConfig
-from repro.simulator.simulation import CloudSimulation, SimulationConfig
-from repro.system import CloudSystem
-from repro.workload.grammar import compile_shock_events
 
 
 @dataclass(frozen=True)
@@ -108,78 +100,34 @@ def audited_shock_cell(
 ) -> Tuple[TenantCellResult, Optional[ConservationAudit]]:
     """Run one shocked cell and audit conservation on the live engine.
 
-    Mirrors :func:`repro.experiments.tenants.run_tenant_cell` step for
-    step (the cell result is bitwise identical to it) but keeps the
-    scheme in hand so the provider account, outcomes, and wallet ledgers
-    can be folded before they are thrown away. The bypass baseline has
-    no economy, so its audit is ``None``. ``trace``/``metrics`` attach
-    under the zero-perturbation contract, exactly as in
-    :func:`~repro.experiments.tenants.run_tenant_cell`.
+    Runs the cell exactly as :func:`repro.experiments.tenants.run_tenant_cell`
+    does (the cell result is bitwise identical to it) but keeps the scheme
+    in hand so the provider account, outcomes, and wallet ledgers can be
+    folded before they are thrown away. The generative registry folds
+    each wallet it archives at churn, so churned wallets are audited
+    too. The bypass baseline has no economy, so its audit is ``None``.
+    ``trace``/``metrics`` attach under the zero-perturbation contract,
+    exactly as in :func:`~repro.experiments.tenants.run_tenant_cell`.
     """
-    populated = build_population(config)
-    system = CloudSystem()
-    registry: Optional[TenantRegistry] = None
-    if config.scheme == "bypass":
-        scheme = system.scheme(config.scheme)
-    else:
-        registry = TenantRegistry()
-        registry.register_all(populated.profiles)
-        scheme = system.scheme(
-            config.scheme, economic_config=EconomicSchemeConfig(
-                economy=EconomyConfig(
-                    strict_maintenance=config.strict_maintenance,
-                ),
-                tenants=registry,
-            )
-        )
-    observers = []
-    if trace is not None or metrics is not None:
-        from repro.obs.metrics import attach_observability
-
-        observers = attach_observability(scheme, trace=trace,
-                                         metrics=metrics)
-    simulation = CloudSimulation(
-        scheme, SimulationConfig(
-            warmup_queries=config.warmup_queries,
-            settlement_period_s=config.settlement_period_s,
-        )
+    cell, scheme, registry = simulate_cell(config, trace=trace,
+                                           metrics=metrics)
+    if registry is None:
+        return cell, None
+    engine = scheme.engine
+    banked = engine.account.totals_by_category().get(
+        CloudAccount.CATEGORY_QUERY_PAYMENT, 0.0)
+    charged = 0.0
+    for outcome in engine.outcomes:
+        charged += outcome.charge
+    mismatches = registry.archived_ledger_mismatches + sum(
+        1 for state in registry.states()
+        if ledger_fold(state.account) != state.account.credit
     )
-    result = simulation.run(
-        populated.queries,
-        tenant_lifecycle=populated.lifecycle,
-        observers=observers,
-        shock_events=compile_shock_events(config.shocks, populated.queries),
-    )
-
-    audit: Optional[ConservationAudit] = None
-    if registry is not None:
-        engine = scheme.engine
-        banked = engine.account.totals_by_category().get(
-            CloudAccount.CATEGORY_QUERY_PAYMENT, 0.0)
-        charged = 0.0
-        for outcome in engine.outcomes:
-            charged += outcome.charge
-        mismatches = sum(
-            1 for state in registry.states()
-            if ledger_fold(state.account) != state.account.credit
-        )
-        audit = ConservationAudit(
-            query_payments=banked,
-            outcome_charges=charged,
-            wallets_audited=len(registry),
-            wallet_ledger_mismatches=mismatches,
-        )
-
-    wallets: Tuple[Tuple[str, float], ...] = ()
-    if registry is not None:
-        wallets = tuple(registry.credit_by_tenant().items())
-    cell = TenantCellResult(
-        config=config,
-        summary=result.summary,
-        tenants=sorted_breakdowns(result.steps),
-        wallet_credit=wallets,
-        population_size=populated.tenant_count,
-        churn_waves=populated.churn_waves,
+    audit = ConservationAudit(
+        query_payments=banked,
+        outcome_charges=charged,
+        wallets_audited=len(registry),
+        wallet_ledger_mismatches=mismatches,
     )
     return cell, audit
 

@@ -22,41 +22,37 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.economy.engine import EconomyConfig
-from repro.economy.tenancy import TenantRegistry
+from repro.economy.tenancy import GenerativeTenantRegistry
 from repro.errors import ExperimentError
 from repro.experiments.reporting import distribution_cells, format_table
 from repro.policies.economic import EconomicSchemeConfig
 from repro.policies.factory import SCHEME_NAMES
+from repro.simulator.events import Event
 from repro.simulator.metrics import MetricsSummary, TenantBreakdown
 from repro.simulator.simulation import CloudSimulation, SimulationConfig
 from repro.system import CloudSystem
-from repro.workload.generator import WorkloadGenerator, WorkloadSpec
+from repro.workload.generator import (
+    ArrivalEnvelope,
+    WorkloadGenerator,
+    WorkloadSpec,
+)
 from repro.workload.grammar import (
     ScenarioGrammar,
     ShockSpec,
     TenantTier,
     apply_tenant_tiers,
-    compile_shock_events,
     compile_shock_events_for_span,
 )
 from repro.workload.population import (
     GenerativeProfileSource,
     PopulatedWorkload,
     PopulationSpec,
+    PopulationStream,
     TenantPopulation,
 )
-
-#: Arrival modes: ``eager`` materialises the populated workload up front
-#: (the original path); ``streamed`` feeds the kernel from a lazy
-#: generator with a generative tenant registry, bounding memory by the
-#: concurrently live tenants instead of the population. Outputs are
-#: byte-identical (the streamed fidelity gate).
-ARRIVAL_EAGER = "eager"
-ARRIVAL_STREAMED = "streamed"
-ARRIVAL_MODES = (ARRIVAL_EAGER, ARRIVAL_STREAMED)
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,6 @@ class TenantExperimentConfig:
     tenant_tiers: Tuple[TenantTier, ...] = ()
     strict_maintenance: bool = False
     grammar: Optional[ScenarioGrammar] = None
-    arrival_mode: str = ARRIVAL_EAGER
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEME_NAMES:
@@ -94,17 +89,6 @@ class TenantExperimentConfig:
             raise ExperimentError("query_count must be positive")
         if self.settlement_period_s is not None and self.settlement_period_s <= 0:
             raise ExperimentError("settlement_period_s must be positive")
-        if self.arrival_mode not in ARRIVAL_MODES:
-            raise ExperimentError(
-                f"arrival_mode must be one of {ARRIVAL_MODES}, "
-                f"got {self.arrival_mode!r}"
-            )
-        if self.arrival_mode == ARRIVAL_STREAMED and self.grammar is not None:
-            raise ExperimentError(
-                "streamed arrivals do not support grammar-composed "
-                "scenarios yet: a compiled scenario materialises its "
-                "query stream by construction"
-            )
 
     def population_spec(self) -> PopulationSpec:
         """The population half of the configuration."""
@@ -143,22 +127,28 @@ class TenantCellResult:
         return dict(self.wallet_credit)
 
 
-def build_population(config: TenantExperimentConfig) -> PopulatedWorkload:
-    """Generate the populated workload a cell replays (deterministic).
+def _compiled_queries(config: TenantExperimentConfig):
+    """The grammar-composed query list of a config (``grammar`` set)."""
+    compiled = config.grammar.compile(
+        query_count=config.query_count,
+        interarrival_s=config.interarrival_s,
+        seed=config.seed,
+    )
+    return list(compiled.queries)
 
-    Shared by the plain, sharded, and partitioned execution paths, so
-    every mode sees the identical population — including the SLA-tier
-    rewrite when the config carries ``tenant_tiers``, and the
+
+def build_population(config: TenantExperimentConfig) -> PopulatedWorkload:
+    """Materialise the populated workload of a cell (deterministic).
+
+    Only the partitioned cache (:mod:`repro.distcache`), which slices a
+    whole workload per partition, needs this; every other path streams
+    the same population through :func:`cell_arrivals`. It includes the
+    SLA-tier rewrite when the config carries ``tenant_tiers``, and the
     grammar-composed query stream (weighted classes, flash crowds) when
     it carries a ``grammar``.
     """
     if config.grammar is not None:
-        compiled = config.grammar.compile(
-            query_count=config.query_count,
-            interarrival_s=config.interarrival_s,
-            seed=config.seed,
-        )
-        workload = list(compiled.queries)
+        workload = _compiled_queries(config)
     else:
         workload = WorkloadGenerator(config.workload_spec()).generate()
     populated = TenantPopulation(config.population_spec()).populate(workload)
@@ -166,41 +156,67 @@ def build_population(config: TenantExperimentConfig) -> PopulatedWorkload:
                               seed=config.seed)
 
 
-def run_tenant_cell(config: TenantExperimentConfig,
-                    trace=None, metrics=None) -> TenantCellResult:
-    """Run one scheme over one populated workload.
+class CellArrivals(NamedTuple):
+    """A cell's lazy arrival stream plus what the drivers need around it."""
 
-    The econ-* schemes get a :class:`TenantRegistry` pre-loaded with the
-    population's profiles, making their pricing/negotiation tenant-aware;
-    the bypass baseline has no economy, so only its step-level tenant
-    metrics are populated (wallets stay empty).
+    stream: PopulationStream
+    envelope: ArrivalEnvelope
+    source: GenerativeProfileSource
+    shock_events: Tuple[Event, ...]
 
-    Args:
-        config: the frozen cell configuration.
-        trace: optional :class:`~repro.obs.trace.TraceRecorder`; attaching
-            one is observation-only — the cell result stays byte-identical
-            to the untraced run (the zero-perturbation contract).
-        metrics: optional :class:`~repro.obs.metrics.MetricsTimeseries`
-            sampled at every settlement barrier under the same contract.
+
+def cell_arrivals(config: TenantExperimentConfig) -> CellArrivals:
+    """The populated arrival stream of one cell, nothing materialised.
+
+    Queries come from :meth:`WorkloadGenerator.iter_queries`, or, for a
+    grammar-composed scenario, from the compiled query list (which the
+    grammar builds whole by construction; the envelope is read off it).
+    Tenant profiles derive on demand from the returned source.
     """
-    if config.arrival_mode == ARRIVAL_STREAMED:
-        return _run_streamed_cell(config, trace=trace, metrics=metrics)
-    populated = build_population(config)
-    system = CloudSystem()
-    registry: Optional[TenantRegistry] = None
-    if config.scheme == "bypass":
-        scheme = system.scheme(config.scheme)
+    population_spec = config.population_spec()
+    source = GenerativeProfileSource(spec=population_spec,
+                                     tiers=config.tenant_tiers)
+    if config.grammar is not None:
+        queries = _compiled_queries(config)
+        envelope = ArrivalEnvelope(query_count=len(queries),
+                                   start_s=queries[0].arrival_time,
+                                   last_s=queries[-1].arrival_time)
     else:
-        registry = TenantRegistry()
-        registry.register_all(populated.profiles)
-        scheme = system.scheme(
-            config.scheme, economic_config=EconomicSchemeConfig(
-                economy=EconomyConfig(
-                    strict_maintenance=config.strict_maintenance,
-                ),
-                tenants=registry,
-            )
+        generator = WorkloadGenerator(config.workload_spec())
+        envelope = generator.arrival_envelope()
+        queries = generator.iter_queries()
+    stream = TenantPopulation(population_spec).stream(queries, source=source)
+    shock_events = compile_shock_events_for_span(
+        config.shocks, envelope.start_s, envelope.last_s)
+    return CellArrivals(stream, envelope, source, shock_events)
+
+
+def cell_scheme(config: TenantExperimentConfig, registry=None):
+    """The cell's scheme; econ-* schemes run over ``registry``."""
+    system = CloudSystem()
+    if config.scheme == "bypass":
+        return system.scheme(config.scheme)
+    return system.scheme(
+        config.scheme, economic_config=EconomicSchemeConfig(
+            economy=EconomyConfig(
+                strict_maintenance=config.strict_maintenance,
+            ),
+            tenants=registry,
         )
+    )
+
+
+def simulate_cell(config: TenantExperimentConfig, trace=None, metrics=None):
+    """Run one cell; return ``(result, scheme, registry)``.
+
+    The scheme and registry stay live so callers (the shock audit) can
+    fold their accounts; :func:`run_tenant_cell` keeps the result only.
+    """
+    arrivals = cell_arrivals(config)
+    registry = None
+    if config.scheme != "bypass":
+        registry = GenerativeTenantRegistry(arrivals.source)
+    scheme = cell_scheme(config, registry)
     observers = []
     if trace is not None or metrics is not None:
         from repro.obs.metrics import attach_observability
@@ -213,101 +229,50 @@ def run_tenant_cell(config: TenantExperimentConfig,
             settlement_period_s=config.settlement_period_s,
         )
     )
-    result = simulation.run(
-        populated.queries,
-        tenant_lifecycle=populated.lifecycle,
+    result = simulation.run_streamed(
+        arrivals.stream, arrivals.envelope,
         observers=observers,
-        shock_events=compile_shock_events(config.shocks, populated.queries),
+        shock_events=arrivals.shock_events,
     )
-
-    breakdowns = sorted_breakdowns(result.steps)
     wallets: Tuple[Tuple[str, float], ...] = ()
     if registry is not None:
         wallets = tuple(registry.credit_by_tenant().items())
-    return TenantCellResult(
+    cell = TenantCellResult(
         config=config,
         summary=result.summary,
-        tenants=breakdowns,
+        tenants=sorted_breakdowns(result.steps),
         wallet_credit=wallets,
-        population_size=populated.tenant_count,
-        churn_waves=populated.churn_waves,
+        population_size=arrivals.stream.tenants_minted,
+        churn_waves=arrivals.stream.churn_events,
     )
+    return cell, scheme, registry
 
 
-def _run_streamed_cell(config: TenantExperimentConfig,
-                       trace=None, metrics=None) -> TenantCellResult:
-    """Run one cell with streamed arrivals and a generative registry.
+def run_tenant_cell(config: TenantExperimentConfig,
+                    trace=None, metrics=None) -> TenantCellResult:
+    """Run one scheme over one streamed population.
 
     Nothing population-sized is materialised: queries flow from the
     workload generator through a
     :class:`~repro.workload.population.PopulationStream` into the kernel's
-    lookahead window, and tenant profiles derive on demand inside a
+    lookahead window (which also primes the batch planner), and tenant
+    profiles derive on demand inside a
     :class:`~repro.economy.tenancy.GenerativeTenantRegistry`. Per-cell
     memory is bounded by the concurrently live (and charged) tenants plus
-    the arrival-time array — never by ``tenant_count``. The result is
-    byte-identical to the eager cell over the same config (the fidelity
-    gate pinned by the equivalence tests and the CI scale-smoke diff).
+    the lookahead window — never by ``tenant_count``. The econ-* schemes
+    price and negotiate per tenant through the registry; the bypass
+    baseline has no economy, so only its step-level tenant metrics are
+    populated (wallets stay empty).
+
+    Args:
+        config: the frozen cell configuration.
+        trace: optional :class:`~repro.obs.trace.TraceRecorder`; attaching
+            one is observation-only — the cell result stays byte-identical
+            to the untraced run (the zero-perturbation contract).
+        metrics: optional :class:`~repro.obs.metrics.MetricsTimeseries`
+            sampled at every settlement barrier under the same contract.
     """
-    from repro.economy.tenancy import GenerativeTenantRegistry
-
-    population_spec = config.population_spec()
-    source = GenerativeProfileSource(spec=population_spec,
-                                     tiers=config.tenant_tiers)
-    generator = WorkloadGenerator(config.workload_spec())
-    envelope = generator.arrival_envelope()
-    stream = TenantPopulation(population_spec).stream(
-        generator.iter_queries(), source=source
-    )
-    system = CloudSystem()
-    registry = None
-    if config.scheme == "bypass":
-        scheme = system.scheme(config.scheme)
-    else:
-        registry = GenerativeTenantRegistry(source)
-        scheme = system.scheme(
-            config.scheme, economic_config=EconomicSchemeConfig(
-                economy=EconomyConfig(
-                    strict_maintenance=config.strict_maintenance,
-                ),
-                tenants=registry,
-            )
-        )
-    observers = []
-    if trace is not None or metrics is not None:
-        from repro.obs.metrics import attach_observability
-
-        # rss=True: the memory bound is the whole point of this path, so
-        # the sampler additionally gauges the process peak RSS (which is
-        # why streamed metrics files are not byte-reproducible run to
-        # run — the rendered tables still are).
-        observers = attach_observability(scheme, trace=trace,
-                                         metrics=metrics, rss=True)
-    simulation = CloudSimulation(
-        scheme, SimulationConfig(
-            warmup_queries=config.warmup_queries,
-            settlement_period_s=config.settlement_period_s,
-        )
-    )
-    result = simulation.run_streamed(
-        stream, envelope,
-        observers=observers,
-        shock_events=compile_shock_events_for_span(
-            config.shocks, envelope.start_s, envelope.last_s
-        ),
-    )
-
-    breakdowns = sorted_breakdowns(result.steps)
-    wallets: Tuple[Tuple[str, float], ...] = ()
-    if registry is not None:
-        wallets = tuple(registry.credit_by_tenant().items())
-    return TenantCellResult(
-        config=config,
-        summary=result.summary,
-        tenants=breakdowns,
-        wallet_credit=wallets,
-        population_size=stream.tenants_minted,
-        churn_waves=stream.churn_events,
-    )
+    return simulate_cell(config, trace=trace, metrics=metrics)[0]
 
 
 def sorted_breakdowns(steps) -> Tuple[TenantBreakdown, ...]:

@@ -258,9 +258,9 @@ class MetricsSampler:
         scheme: the scheme whose components the gauges read.
         rss: also sample :func:`peak_rss_bytes` at every barrier.
             Off by default because the OS high-water mark is **not**
-            deterministic across runs — only the streamed drivers (whose
-            memory bound it audits) enable it, keeping eager metrics
-            emission bitwise reproducible.
+            deterministic across runs — only the shard workers (one
+            process each, whose per-worker memory it audits) enable it,
+            keeping unsharded metrics emission bitwise reproducible.
     """
 
     def __init__(self, metrics: MetricsTimeseries, scheme,

@@ -202,7 +202,7 @@ def _trace_summary(path: str) -> Dict[str, object]:
             events += 1
             if kind == "sample":
                 # Memory-budget gauges sampled at settlement barriers
-                # (streamed runs): report the run-wide maxima so the CI
+                # (tenant runs): report the run-wide maxima so the CI
                 # memory lane can read them off one report field.
                 live = record.get("live_tenants")
                 if isinstance(live, int):

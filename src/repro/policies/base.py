@@ -81,6 +81,13 @@ class CachingScheme(abc.ABC):
         Outcomes must not depend on whether priming happened.
         """
 
+    def extend_workload(self, queries: Sequence[Query]) -> None:
+        """Announce more arrivals behind the primed ones (append-only).
+
+        The streamed drivers call this with each slice of their lookahead
+        window; like :meth:`prime_workload` it is advisory.
+        """
+
     @property
     def tenant_registry(self):
         """The scheme's tenant registry, or ``None`` for single-tenant schemes.

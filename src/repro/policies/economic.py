@@ -119,6 +119,9 @@ class EconomicScheme(CachingScheme):
                        settlement_period_s: Optional[float] = None) -> None:
         self._engine.prime_queries(queries, settlement_period_s)
 
+    def extend_workload(self, queries: Sequence[Query]) -> None:
+        self._engine.extend_queries(queries)
+
     # -- market shocks ---------------------------------------------------------
 
     def apply_invalidation(self, predicate: str, now: float):

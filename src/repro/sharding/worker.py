@@ -1,8 +1,8 @@
 """One shard's execution: a full deterministic replay with scoped ownership.
 
-A :class:`ShardWorker` rebuilds the populated workload from the frozen
-cell config (never pickling queries across the process boundary), runs the
-complete event stream through its own
+A :class:`ShardWorker` rebuilds the populated arrival stream from the
+frozen cell config (never pickling queries across the process boundary),
+runs the complete event stream through its own
 :class:`~repro.simulator.kernel.SimulationKernel` and
 :class:`~repro.economy.engine.EconomyEngine`, and owns — materialises
 mutable state and produces accounting for — only the tenants its shard is
@@ -26,29 +26,20 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.economy.account import CloudAccount
-from repro.economy.engine import EconomyConfig
 from repro.errors import ShardingError
 from repro.obs.metrics import MetricsTimeseries, attach_observability
 from repro.obs.trace import TraceRecorder
 from repro.experiments.tenants import (
-    ARRIVAL_STREAMED,
     TenantExperimentConfig,
-    build_population,
+    cell_arrivals,
+    cell_scheme,
     sorted_breakdowns,
 )
-from repro.policies.economic import EconomicSchemeConfig
 from repro.sharding.partition import TenantPartitioner
 from repro.sharding.registry import ShardScopedRegistry
 from repro.simulator.events import MaintenanceSettlementEvent, QueryArrivalEvent
 from repro.simulator.metrics import MetricsSummary, TenantBreakdown
 from repro.simulator.simulation import CloudSimulation, SimulationConfig
-from repro.system import CloudSystem
-from repro.workload.generator import WorkloadGenerator
-from repro.workload.grammar import (
-    compile_shock_events,
-    compile_shock_events_for_span,
-)
-from repro.workload.population import GenerativeProfileSource, TenantPopulation
 
 
 @dataclass(frozen=True)
@@ -159,26 +150,12 @@ class ShardWorker:
         """Replay the cell's event stream; account only the owned tenants."""
         task = self._task
         config = task.config
-        streamed = config.arrival_mode == ARRIVAL_STREAMED
-        system = CloudSystem()
-
-        populated = None
-        stream = None
-        if streamed:
-            # Nothing population-sized materialises: queries flow from the
-            # generator through the population stream into the kernel's
-            # lookahead window, and the registry derives profiles on
-            # demand. Every shard consumes an identical stream, so the
-            # replicated trajectory is unchanged.
-            population_spec = config.population_spec()
-            source = GenerativeProfileSource(spec=population_spec,
-                                             tiers=config.tenant_tiers)
-            generator = WorkloadGenerator(config.workload_spec())
-            envelope = generator.arrival_envelope()
-            stream = TenantPopulation(population_spec).stream(
-                generator.iter_queries(), source=source)
-        else:
-            populated = build_population(config)
+        # Nothing population-sized materialises: queries flow from the
+        # generator through the population stream into the kernel's
+        # lookahead window, and the registry derives profiles on demand.
+        # Every shard consumes an identical stream, so the replicated
+        # trajectory is unchanged.
+        arrivals = cell_arrivals(config)
 
         registry: Optional[ShardScopedRegistry] = None
         recorder: Optional[SettlementCheckpointRecorder] = None
@@ -186,23 +163,11 @@ class ShardWorker:
         if config.scheme == "bypass":
             # The baseline runs no economy: there is nothing tenant-owned
             # to scope, so the worker only filters the step accounting.
-            scheme = system.scheme(config.scheme)
+            scheme = cell_scheme(config)
         else:
-            if streamed:
-                registry = ShardScopedRegistry.generative(
-                    source, self._partitioner, task.shard_index)
-            else:
-                registry = ShardScopedRegistry(
-                    populated.profiles, self._partitioner, task.shard_index)
-            scheme = system.scheme(
-                config.scheme,
-                economic_config=EconomicSchemeConfig(
-                    economy=EconomyConfig(
-                        strict_maintenance=config.strict_maintenance,
-                    ),
-                    tenants=registry,
-                ),
-            )
+            registry = ShardScopedRegistry.generative(
+                arrivals.source, self._partitioner, task.shard_index)
+            scheme = cell_scheme(config, registry)
             recorder = SettlementCheckpointRecorder(
                 registry, scheme.engine.account)
             observers.append((MaintenanceSettlementEvent, recorder))
@@ -220,9 +185,12 @@ class ShardWorker:
             if task.metrics:
                 metrics = MetricsTimeseries(
                     source=f"shard{task.shard_index}")
+            # rss=True: each shard is its own process, so its peak RSS is
+            # the per-worker memory gauge (which is why shard metrics files
+            # are not byte-reproducible run to run — the tables still are).
             observers.extend(attach_observability(scheme, trace=trace,
                                                   metrics=metrics,
-                                                  rss=streamed))
+                                                  rss=True))
 
         simulation = CloudSimulation(scheme, SimulationConfig(
             warmup_queries=config.warmup_queries,
@@ -231,25 +199,12 @@ class ShardWorker:
         # Shock events replicate with the rest of the stream: every shard
         # compiles the identical events from the shared frozen config, so
         # the replicated trajectory stays bitwise identical under faults.
-        if streamed:
-            result = simulation.run_streamed(
-                stream, envelope,
-                observers=observers,
-                shock_events=compile_shock_events_for_span(
-                    config.shocks, envelope.start_s, envelope.last_s),
-            )
-            start_s = envelope.start_s
-            total_queries = envelope.query_count
-        else:
-            result = simulation.run(
-                populated.queries,
-                tenant_lifecycle=populated.lifecycle,
-                observers=observers,
-                shock_events=compile_shock_events(config.shocks,
-                                                  populated.queries),
-            )
-            start_s = populated.queries[0].arrival_time
-            total_queries = len(populated.queries)
+        envelope = arrivals.envelope
+        result = simulation.run_streamed(
+            arrivals.stream, envelope,
+            observers=observers,
+            shock_events=arrivals.shock_events,
+        )
 
         checkpoints: Tuple[SettlementCheckpoint, ...] = ()
         if recorder is not None:
@@ -257,8 +212,8 @@ class ShardWorker:
             # coordinator merges at, present even when the trailing
             # settlement degenerated (single query, zero span).
             final = recorder.snapshot(
-                time_s=result.summary.duration_s + start_s,
-                queries_dispatched=total_queries,
+                time_s=result.summary.duration_s + envelope.start_s,
+                queries_dispatched=envelope.query_count,
             )
             checkpoints = tuple(recorder.checkpoints) + (final,)
 
@@ -287,10 +242,8 @@ class ShardWorker:
             owned_initial_credit=owned_seed,
             foreign_charged=foreign_charged,
             checkpoints=checkpoints,
-            population_size=(stream.tenants_minted if streamed
-                             else populated.tenant_count),
-            churn_waves=(stream.churn_events if streamed
-                         else populated.churn_waves),
+            population_size=arrivals.stream.tenants_minted,
+            churn_waves=arrivals.stream.churn_events,
             trace=trace,
             metrics=metrics,
         )

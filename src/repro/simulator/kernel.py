@@ -6,7 +6,9 @@ caching schemes, maintenance, or workloads: behaviour is supplied by
 ``(time, priority, FIFO)`` order documented in
 :mod:`repro.simulator.events`; for each popped event the clock advances
 to the event's instant and every handler whose registered type matches
-(by ``isinstance``) runs in registration order. Handlers receive the
+(by ``isinstance``) runs in registration order; the matching handlers
+are looked up once per event type and cached until the next
+:meth:`~SimulationKernel.register`. Handlers receive the
 kernel itself and may schedule follow-up events, which is how periodic
 settlements and scenario phase chains are expressed.
 
@@ -42,6 +44,9 @@ class SimulationKernel:
         self._clock = SimulationClock(start_time_s=start_time_s)
         self._queue = EventQueue()
         self._handlers: List[Tuple[Type[Event], EventHandler]] = []
+        # Per concrete event type: its matching handlers in registration
+        # order. Built on first dispatch of a type, dropped by register().
+        self._dispatch_table: Dict[Type[Event], Tuple[EventHandler, ...]] = {}
         self._dispatched: Dict[Type[Event], int] = {}
 
     # -- introspection ---------------------------------------------------------
@@ -91,6 +96,7 @@ class SimulationKernel:
         if not callable(handler):
             raise SimulationError("handler must be callable")
         self._handlers.append((event_type, handler))
+        self._dispatch_table.clear()
 
     def schedule(self, event: Event) -> None:
         """Queue one event; it must not be in the simulated past.
@@ -136,23 +142,35 @@ class SimulationKernel:
                 unhandled event is a wiring bug, not a soft no-op.
         """
         dispatched = 0
-        while not self._queue.empty:
-            next_time = self._queue.peek_time()
-            if until_s is not None and next_time is not None and next_time > until_s:
+        queue = self._queue
+        advance_to = self._clock.advance_to
+        table = self._dispatch_table
+        counts = self._dispatched
+        while not queue.empty:
+            if until_s is not None and queue.peek_time() > until_s:
                 break
-            event = self._queue.pop()
-            self._clock.advance_to(event.time_s)
-            handlers = [
-                handler for registered_type, handler in self._handlers
-                if isinstance(event, registered_type)
-            ]
-            if not handlers:
-                raise SimulationError(
-                    f"no handler registered for {type(event).__name__}"
-                )
+            event = queue.pop()
+            advance_to(event.time_s)
+            event_type = type(event)
+            handlers = table.get(event_type)
+            if handlers is None:
+                handlers = self._handlers_for(event_type)
             for handler in handlers:
                 handler(event, self)
-            event_type = type(event)
-            self._dispatched[event_type] = self._dispatched.get(event_type, 0) + 1
+            counts[event_type] = counts.get(event_type, 0) + 1
             dispatched += 1
         return dispatched
+
+    def _handlers_for(self, event_type: Type[Event]
+                      ) -> Tuple[EventHandler, ...]:
+        """The handlers matching ``event_type``, cached until a register()."""
+        handlers = tuple(
+            handler for registered_type, handler in self._handlers
+            if issubclass(event_type, registered_type)
+        )
+        if not handlers:
+            raise SimulationError(
+                f"no handler registered for {event_type.__name__}"
+            )
+        self._dispatch_table[event_type] = handlers
+        return handlers

@@ -92,34 +92,31 @@ def trailing_interval_for(queries: Sequence[Query]) -> float:
     return span / (len(queries) - 1)
 
 
-def _run_tenants(schemes: Sequence[CachingScheme], queries: Sequence[Query],
-                 config: SimulationConfig,
-                 phase_changes: Sequence = (),
-                 tenant_lifecycle: Sequence = (),
-                 observers: Sequence = (),
-                 shock_events: Sequence = ()) -> Dict[str, SimulationResult]:
-    """Shared kernel assembly: run ``schemes`` over one workload and clock."""
-    query_list = list(queries)
-    if not query_list:
+def _check_extent(query_count: int, config: SimulationConfig) -> None:
+    if query_count <= 0:
         raise SimulationError("the workload contains no queries")
-    if config.warmup_queries >= len(query_list):
+    if config.warmup_queries >= query_count:
         raise SimulationError(
             f"warmup_queries={config.warmup_queries} leaves no "
-            f"measured queries out of {len(query_list)}"
+            f"measured queries out of {query_count}"
         )
 
-    start_s = query_list[0].arrival_time
-    last_arrival_s = query_list[-1].arrival_time
-    trailing_s = trailing_interval_for(query_list)
-    end_s = last_arrival_s + (trailing_s if config.trailing_settlement else 0.0)
 
+def _drive(schemes: Sequence[CachingScheme], config: SimulationConfig,
+           start_s: float, last_arrival_s: float, trailing_s: float,
+           feed, observers: Sequence = (),
+           shock_events: Sequence = ()) -> Dict[str, SimulationResult]:
+    """Shared kernel assembly: run ``schemes`` on one clock.
+
+    ``feed(kernel)`` registers and schedules the arrivals (the whole
+    materialised workload, or a streaming source); it runs after the
+    scheme tenants and the periodic rescheduler are registered and
+    before the observers, so every arrival handler precedes the
+    read-only observers in dispatch order.
+    """
+    end_s = last_arrival_s + (trailing_s if config.trailing_settlement
+                              else 0.0)
     kernel = SimulationKernel(start_time_s=start_s)
-    # Economic schemes evaluate whole settlement epochs vectorized; the
-    # bypass scheme ignores the priming (see CachingScheme.prime_workload).
-    for scheme in schemes:
-        scheme.prime_workload(
-            query_list, settlement_period_s=config.settlement_period_s
-        )
     tenants: List[SchemeTenant] = []
     for scheme in schemes:
         tenant = SchemeTenant(
@@ -135,6 +132,8 @@ def _run_tenants(schemes: Sequence[CachingScheme], queries: Sequence[Query],
     kernel.register(MaintenanceSettlementEvent, rescheduler)
     kernel.register(StructureFailureCheckEvent, rescheduler)
 
+    feed(kernel)
+
     # Observers register last: registration order is dispatch order, so an
     # observer of a settlement event always sees fully settled state. They
     # must be read-only — the sharding layer's determinism barrier relies
@@ -142,22 +141,6 @@ def _run_tenants(schemes: Sequence[CachingScheme], queries: Sequence[Query],
     for event_type, handler in observers:
         kernel.register(event_type, handler)
 
-    kernel.schedule_all(
-        QueryArrivalEvent(time_s=query.arrival_time, query=query)
-        for query in query_list
-    )
-    for change in phase_changes:
-        kernel.schedule(WorkloadPhaseChangeEvent(
-            time_s=change.time_s,
-            phase_index=change.phase_index,
-            label=change.label,
-        ))
-    for marker in tenant_lifecycle:
-        event_type = (TenantArrivalEvent if marker.kind == "arrival"
-                      else TenantChurnEvent)
-        kernel.schedule(event_type(
-            time_s=marker.time_s, tenant_id=marker.tenant_id,
-        ))
     # Market-shock events (already-instantiated Event objects, e.g. from
     # repro.workload.grammar.compile_shock_events) are scheduled as-is;
     # the compiler clamps them to the arrival span, so none outlives the
@@ -193,6 +176,46 @@ def _run_tenants(schemes: Sequence[CachingScheme], queries: Sequence[Query],
     }
 
 
+def _run_tenants(schemes: Sequence[CachingScheme], queries: Sequence[Query],
+                 config: SimulationConfig,
+                 phase_changes: Sequence = (),
+                 tenant_lifecycle: Sequence = (),
+                 observers: Sequence = (),
+                 shock_events: Sequence = ()) -> Dict[str, SimulationResult]:
+    """Run ``schemes`` over one materialised workload and clock."""
+    query_list = list(queries)
+    _check_extent(len(query_list), config)
+    # Economic schemes evaluate whole settlement epochs vectorized; the
+    # bypass scheme ignores the priming (see CachingScheme.prime_workload).
+    for scheme in schemes:
+        scheme.prime_workload(
+            query_list, settlement_period_s=config.settlement_period_s
+        )
+
+    def feed(kernel: SimulationKernel) -> None:
+        kernel.schedule_all(
+            QueryArrivalEvent(time_s=query.arrival_time, query=query)
+            for query in query_list
+        )
+        for change in phase_changes:
+            kernel.schedule(WorkloadPhaseChangeEvent(
+                time_s=change.time_s,
+                phase_index=change.phase_index,
+                label=change.label,
+            ))
+        for marker in tenant_lifecycle:
+            event_type = (TenantArrivalEvent if marker.kind == "arrival"
+                          else TenantChurnEvent)
+            kernel.schedule(event_type(
+                time_s=marker.time_s, tenant_id=marker.tenant_id,
+            ))
+
+    return _drive(schemes, config, query_list[0].arrival_time,
+                  query_list[-1].arrival_time,
+                  trailing_interval_for(query_list), feed,
+                  observers=observers, shock_events=shock_events)
+
+
 def _run_tenants_streamed(schemes: Sequence[CachingScheme], stream,
                           envelope, config: SimulationConfig,
                           observers: Sequence = (),
@@ -211,75 +234,32 @@ def _run_tenants_streamed(schemes: Sequence[CachingScheme], stream,
     insertion order; cross-kind ties go by event priority, which never
     depended on scheduling order).
 
-    Nothing is primed: a stream never holds the whole epoch, so the
-    economic schemes score each arrival on its own as it comes.
+    The schemes are primed from the lookahead window: every query the
+    source schedules is queued behind the unconsumed ones through
+    :meth:`~repro.policies.base.CachingScheme.extend_workload`, so the
+    planner scores the window in vectorized blocks while holding only
+    O(window) of the workload.
     """
     from repro.simulator.streaming import StreamingArrivalSource
 
-    if envelope.query_count <= 0:
-        raise SimulationError("the workload contains no queries")
-    if config.warmup_queries >= envelope.query_count:
-        raise SimulationError(
-            f"warmup_queries={config.warmup_queries} leaves no "
-            f"measured queries out of {envelope.query_count}"
-        )
+    _check_extent(envelope.query_count, config)
 
-    start_s = envelope.start_s
-    trailing_s = envelope.trailing_interval_s
-    end_s = envelope.last_s + (trailing_s if config.trailing_settlement
-                               else 0.0)
+    def extend(queries: Sequence[Query]) -> None:
+        for scheme in schemes:
+            scheme.extend_workload(queries)
 
-    kernel = SimulationKernel(start_time_s=start_s)
-    tenants: List[SchemeTenant] = []
-    for scheme in schemes:
-        tenant = SchemeTenant(
-            scheme,
-            MetricsCollector(scheme.name),
-            warmup_queries=config.warmup_queries,
-            start_time_s=start_s,
-        )
-        tenant.register(kernel)
-        tenants.append(tenant)
+    source = StreamingArrivalSource(stream, on_queries=extend)
 
-    rescheduler = PeriodicRescheduler(horizon_s=end_s)
-    kernel.register(MaintenanceSettlementEvent, rescheduler)
-    kernel.register(StructureFailureCheckEvent, rescheduler)
+    def feed(kernel: SimulationKernel) -> None:
+        source.register(kernel)
+        # Refilling schedules future events only, so priming the window
+        # before the observers register leaves their settled-state view
+        # unchanged.
+        source.prime(kernel)
 
-    source = StreamingArrivalSource(stream)
-    source.register(kernel)
-
-    # Observers still register last (after the source's refill hook): they
-    # are read-only, and refilling schedules future events only, so the
-    # settled-state-at-dispatch contract is unchanged.
-    for event_type, handler in observers:
-        kernel.register(event_type, handler)
-
-    kernel.schedule_all(shock_events)
-    if (config.settlement_period_s is not None
-            and start_s + config.settlement_period_s <= end_s):
-        kernel.schedule(MaintenanceSettlementEvent(
-            time_s=start_s + config.settlement_period_s,
-            period_s=config.settlement_period_s,
-        ))
-    if (config.failure_check_period_s is not None
-            and start_s + config.failure_check_period_s <= end_s):
-        kernel.schedule(StructureFailureCheckEvent(
-            time_s=start_s + config.failure_check_period_s,
-            period_s=config.failure_check_period_s,
-        ))
-    if config.trailing_settlement and trailing_s > 0:
-        kernel.schedule(MaintenanceSettlementEvent(time_s=end_s, final=True))
-
-    source.prime(kernel)
-    kernel.run()
-
-    return {
-        tenant.scheme.name: SimulationResult(
-            summary=tenant.collector.summary(),
-            steps=tenant.collector.steps,
-        )
-        for tenant in tenants
-    }
+    return _drive(schemes, config, envelope.start_s, envelope.last_s,
+                  envelope.trailing_interval_s, feed,
+                  observers=observers, shock_events=shock_events)
 
 
 class CloudSimulation:

@@ -24,12 +24,16 @@ Dispatch order is identical to the eager path by construction:
 
 The source never mutates simulation state — it only converts stream items
 into scheduled events — so it composes with observers and the purity
-contracts unchanged.
+contracts unchanged. Every query it schedules is also handed, in stream
+order, to an optional ``on_queries`` callback before it can dispatch; the
+drivers pass the schemes' append-only priming hook, so the batch planner
+scores the lookahead window in vectorized blocks instead of one query at
+a time.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.errors import SimulationError
 from repro.simulator.events import (
@@ -43,9 +47,10 @@ from repro.workload.population import TenantLifecycleMarker
 from repro.workload.query import Query
 
 #: How many stream items the source keeps scheduled ahead of the kernel's
-#: clock. Big enough to amortise the per-refill overhead, small enough
-#: that the kernel heap stays O(1) in the workload size.
-DEFAULT_LOOKAHEAD = 64
+#: clock. Big enough that the queries inside it make worthwhile vectorized
+#: planning blocks, small enough that the kernel heap stays O(1) in the
+#: workload size.
+DEFAULT_LOOKAHEAD = 1024
 
 
 class StreamingArrivalSource:
@@ -56,14 +61,20 @@ class StreamingArrivalSource:
             and :class:`~repro.workload.population.TenantLifecycleMarker`
             objects in non-decreasing time order.
         lookahead: number of stream items kept scheduled ahead.
+        on_queries: optional callback receiving each refill's newly
+            scheduled queries, in stream order, before any of them
+            dispatches.
     """
 
     def __init__(self, stream: Iterable[Union[Query, TenantLifecycleMarker]],
-                 lookahead: int = DEFAULT_LOOKAHEAD) -> None:
+                 lookahead: int = DEFAULT_LOOKAHEAD,
+                 on_queries: Optional[Callable[[Sequence[Query]], None]] = None
+                 ) -> None:
         if lookahead <= 0:
             raise SimulationError("lookahead must be positive")
         self._iterator: Iterator = iter(stream)
         self._lookahead = lookahead
+        self._on_queries = on_queries
         self._in_flight = 0
         self._exhausted = False
         self._primed = False
@@ -96,19 +107,22 @@ class StreamingArrivalSource:
     # -- internals -------------------------------------------------------------
 
     def _refill(self, kernel: SimulationKernel) -> None:
+        queries: List[Query] = []
         while self._in_flight < self._lookahead:
             item = next(self._iterator, None)
             if item is None:
                 self._exhausted = True
-                return
-            kernel.schedule(self._event_for(item))
+                break
+            if isinstance(item, TenantLifecycleMarker):
+                event_type = (TenantArrivalEvent if item.kind == "arrival"
+                              else TenantChurnEvent)
+                kernel.schedule(event_type(time_s=item.time_s,
+                                           tenant_id=item.tenant_id))
+            else:
+                queries.append(item)
+                kernel.schedule(QueryArrivalEvent(time_s=item.arrival_time,
+                                                  query=item))
             self._in_flight += 1
             self.events_emitted += 1
-
-    @staticmethod
-    def _event_for(item: Union[Query, TenantLifecycleMarker]) -> Event:
-        if isinstance(item, TenantLifecycleMarker):
-            event_type = (TenantArrivalEvent if item.kind == "arrival"
-                          else TenantChurnEvent)
-            return event_type(time_s=item.time_s, tenant_id=item.tenant_id)
-        return QueryArrivalEvent(time_s=item.arrival_time, query=item)
+        if queries and self._on_queries is not None:
+            self._on_queries(queries)

@@ -77,10 +77,13 @@ def tenant_index_of(tenant_id: str) -> Optional[int]:
     if len(tenant_id) < 6 or not tenant_id.startswith("t"):
         return None
     digits = tenant_id[1:]
-    if not digits.isdigit():
+    if not (digits.isascii() and digits.isdigit()):
         return None
-    index = int(digits)
-    return index if tenant_id_for(index) == tenant_id else None
+    # tenant_id_for pads to five digits and no further, so a longer
+    # digit string round-trips only without a leading zero.
+    if len(digits) > 5 and digits[0] == "0":
+        return None
+    return int(digits)
 
 
 @dataclass(frozen=True)

@@ -202,6 +202,46 @@ class TestBatchScheduler:
         assert scheduler._remaining == remaining
         assert scheduler.pending_queries == 3
 
+    def test_extend_queues_behind_unconsumed_queries(
+            self, execution_model, single_evaluations):
+        scheduler = self.make(execution_model)
+        queries = workload(count=8)
+        scheduler.prime(queries[:4])
+        scheduler.view_for(queries[0])
+        scheduler.view_for(queries[1])
+        blocks = dict(scheduler._blocks)
+        scheduler.extend(queries[4:])
+        # The evaluated window and its unconsumed queries are untouched.
+        assert scheduler._blocks == blocks
+        assert scheduler.pending_queries == 6
+        for query in queries[2:]:
+            scheduler.view_for(query)
+        assert single_evaluations == []
+        assert scheduler.pending_queries == 0
+        assert scheduler._epochs == {}
+
+    def test_extended_slices_score_as_one_window(
+            self, execution_model, single_evaluations):
+        # A streamed run extends one slice per refill; consecutive slices
+        # are scored together, to the one-query figures.
+        scheduler = self.make(execution_model)
+        reference = self.make(execution_model)
+        queries = workload(count=12)
+        for query in queries:
+            scheduler.extend([query])
+        scheduler.view_for(queries[0])
+        assert sum(block.estimates.query_count
+                   for block in scheduler._blocks.values()) == 12
+        for query in queries[1:]:
+            table, estimates, column = scheduler.view_for(query)
+            _, alone, _ = reference.view_for(query)
+            assert estimates.times_for(column) == alone.times_for(0)
+            assert estimates.execution_dollars_for(column) \
+                == alone.execution_dollars_for(0)
+        # Only the reference scheduler scored anything on its own.
+        assert single_evaluations == [query.query_id
+                                      for query in queries[1:]]
+
     def test_reused_template_name_with_another_shape_rejected(
             self, execution_model):
         scheduler = self.make(execution_model)

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import ExperimentError
+from eager_oracle import eager_audit
 from repro.experiments.shocks import (
     ConservationAudit,
+    SchemeResilience,
     audited_shock_cell,
     baseline_config,
     run_shock_resilience,
@@ -59,6 +61,52 @@ class TestAuditedCell:
         cell, audit = audited_shock_cell(shocked_config(scheme="bypass"))
         assert audit is None
         assert cell.wallet_credit == ()
+
+    def test_audit_matches_the_eager_oracle_under_churn(self):
+        # The generative registry archives churned wallets; the audit
+        # still counts every wallet the eager registry registered and
+        # folds every charged one.
+        config = shocked_config(churn_period=10, churn_fraction=0.25,
+                                grammar=default_shock_grammar())
+        cell, audit = audited_shock_cell(config)
+        oracle_cell, oracle_audit = eager_audit(config)
+        assert cell == oracle_cell
+        assert audit == oracle_audit
+        assert audit.exact
+        assert audit.wallets_audited == cell.population_size \
+            > config.tenant_count
+
+    def test_corrupted_archived_ledger_reads_violated(self, monkeypatch):
+        # Tamper with the ledger of the first charged wallet churn drops:
+        # the ledger is gone after archiving, so only the fold taken at
+        # archive time can catch it.
+        from repro.economy.account import Transaction
+        from repro.economy.tenancy import GenerativeTenantRegistry
+
+        tampered = []
+        deactivate = GenerativeTenantRegistry.deactivate
+
+        def corrupting(registry, tenant_id, now=0.0):
+            state = registry._states.get(tenant_id)
+            if (not tampered and state is not None
+                    and state.account.total_withdrawn() > 0):
+                state.account._transactions.append(
+                    Transaction(time_s=now, category="tampered",
+                                amount=0.25))
+                tampered.append(tenant_id)
+            return deactivate(registry, tenant_id, now)
+
+        monkeypatch.setattr(GenerativeTenantRegistry, "deactivate",
+                            corrupting)
+        config = shocked_config(churn_period=10, churn_fraction=0.25)
+        cell, audit = audited_shock_cell(config)
+        assert tampered
+        assert audit.wallet_ledger_mismatches == 1
+        assert not audit.exact
+        clean = run_tenant_cell(baseline_config(config))
+        table = shock_resilience_table(
+            [SchemeResilience(baseline=clean, shocked=cell, audit=audit)])
+        assert "VIOLATED" in table
 
     def test_audit_exact_is_a_bitwise_claim(self):
         good = ConservationAudit(query_payments=1.25, outcome_charges=1.25,

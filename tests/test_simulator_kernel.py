@@ -136,6 +136,63 @@ class TestKernelDispatch:
         assert dispatched == expected
 
 
+class TestDispatchTable:
+    """The per-type handler table keeps the isinstance-scan semantics."""
+
+    def test_mid_run_registration_dispatches_from_the_next_event(self):
+        kernel = SimulationKernel()
+        seen = []
+
+        def late(event, k):
+            seen.append(("late", event.time_s))
+
+        def first(event, k):
+            seen.append(("first", event.time_s))
+            if event.time_s == 1.0:
+                # Registered while an event dispatches: it must not see
+                # this event, only the later ones, after ``first``.
+                k.register(Event, late)
+
+        kernel.register(Event, first)
+        kernel.schedule_all([Event(time_s=1.0), Event(time_s=2.0),
+                             make_arrival(3.0)])
+        kernel.run()
+        assert seen == [("first", 1.0), ("first", 2.0), ("late", 2.0),
+                        ("first", 3.0), ("late", 3.0)]
+
+    def test_subclass_events_match_base_registrations_in_order(self):
+        kernel = SimulationKernel()
+        seen = []
+        kernel.register(Event, lambda e, k: seen.append("event"))
+        kernel.register(QueryArrivalEvent,
+                        lambda e, k: seen.append("query"))
+        kernel.register(Event, lambda e, k: seen.append("event-again"))
+        kernel.schedule_all([make_arrival(1.0), Event(time_s=2.0),
+                             make_arrival(3.0)])
+        kernel.run()
+        assert seen == ["event", "query", "event-again",
+                        "event", "event-again",
+                        "event", "query", "event-again"]
+
+    def test_registration_after_a_run_refreshes_the_table(self):
+        kernel = SimulationKernel()
+        seen = []
+        kernel.register(QueryArrivalEvent, lambda e, k: seen.append("a"))
+        kernel.schedule(make_arrival(1.0))
+        kernel.run()
+        kernel.register(QueryArrivalEvent, lambda e, k: seen.append("b"))
+        kernel.schedule(make_arrival(2.0))
+        kernel.run()
+        assert seen == ["a", "a", "b"]
+
+    def test_unhandled_subclass_still_raises(self):
+        kernel = SimulationKernel()
+        kernel.register(MaintenanceSettlementEvent, lambda e, k: None)
+        kernel.schedule(make_arrival(1.0))
+        with pytest.raises(SimulationError):
+            kernel.run()
+
+
 class TestPeriodicRescheduler:
     def test_reschedules_until_the_horizon(self):
         kernel = SimulationKernel()

@@ -1,9 +1,13 @@
 """The million-tenant execution mode: generative profiles + streamed arrivals.
 
-Pins the two contracts the bounded-memory path rests on:
+Every population cell runs on streamed arrivals over a generative tenant
+registry. Pins the two contracts that path rests on:
 
-* **fidelity** — streamed cells (and sharded streamed runs) are
-  byte-identical to the eager path over the same config, and a
+* **fidelity** — streamed cells (and sharded runs) are byte-identical to
+  the eager oracle (``tests/eager_oracle.py``: materialise the populated
+  workload, register every profile up front, replay the list) over the
+  same config, including when the lookahead-primed planning window
+  straddles settlement barriers and shocks; and a
   :class:`GenerativeProfileSource` derives exactly the profile the eager
   ``populate()`` path mints for every ``(seed, tenant index)``, including
   churn replacements and SLA-tier rewrites (Hypothesis-swept);
@@ -12,26 +16,33 @@ Pins the two contracts the bounded-memory path rests on:
   of the workload inside the kernel.
 """
 
+import functools
+import os
+import subprocess
+import sys
+from unittest import mock
+
 import pytest
 
+import repro
+from eager_oracle import run_eager_cell
 from repro.economy.tenancy import (
     GenerativeTenantRegistry,
     TenantProfile,
     TenantRegistry,
 )
 from repro.economy.user_model import UserModel
-from repro.errors import EconomyError, ExperimentError, SimulationError, \
-    WorkloadError
+from repro.errors import EconomyError, SimulationError, WorkloadError
 from repro.experiments.tenants import (
-    ARRIVAL_EAGER,
-    ARRIVAL_STREAMED,
     TenantExperimentConfig,
+    build_population,
     run_tenant_cell,
     run_tenant_experiment,
     tenant_aggregate_table,
     top_tenant_table,
 )
 from repro.sharding import ShardScopedRegistry, TenantPartitioner
+from repro.simulator import streaming
 from repro.simulator.streaming import StreamingArrivalSource
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 from repro.workload.grammar import TenantTier, apply_tenant_tiers
@@ -314,6 +325,42 @@ class TestGenerativeTenantRegistry:
             assert repr(observed) == repr(expected)
 
 
+    def test_minting_formats_ids_only_for_ownership(self, monkeypatch):
+        # Minting must not format an id per index when no ownership
+        # predicate asks for one, and must leave len() and the wallets
+        # exactly what the eager registry reports.
+        from repro.economy import tenancy
+
+        formatted = []
+
+        def counting(index):
+            formatted.append(index)
+            return tenant_id_for(index)
+
+        monkeypatch.setattr(tenancy, "tenant_id_for", counting)
+        source = GenerativeProfileSource(spec=self.SPEC)
+        registry = self._registry()
+        registry.activate(tenant_id_for(39), now=0.0)  # mints 0..39 at once
+        registry.charge(tenant_id_for(7), 1.5, now=1.0)
+        assert formatted == []
+        eager = TenantRegistry()
+        eager.register_all(source.profile_for(i) for i in range(40))
+        eager.charge(tenant_id_for(7), 1.5, now=1.0)
+        assert len(registry) == len(eager) == 40
+        assert registry.credit_by_tenant() == eager.credit_by_tenant()
+
+        partitioner = TenantPartitioner(2)
+        owned = GenerativeTenantRegistry(
+            source, owns=lambda index, tenant_id: partitioner.owns(
+                0, tenant_id))
+        owned.activate(tenant_id_for(39), now=0.0)
+        expected = [(tenant_id_for(i), source.initial_credit_for(i))
+                    for i in range(40)
+                    if partitioner.owns(0, tenant_id_for(i))]
+        assert len(owned) == len(expected)
+        assert list(owned.credit_by_tenant().items()) == expected
+
+
 def _probe_query(tenant_id: str) -> Query:
     return Query(query_id=0, template_name="t", table_name="lineitem",
                  predicates=(), projection_columns=("l_quantity",),
@@ -424,64 +471,86 @@ class TestStreamingArrivalSource:
 
 
 class TestStreamedCellEquivalence:
-    """The fidelity gate: streamed == eager, byte for byte."""
+    """The fidelity gate: streamed == the eager oracle, byte for byte."""
 
-    def _pair(self, **overrides):
+    def _config(self, **overrides):
         base = dict(QUICK)
         base.update(overrides)
-        eager = TenantExperimentConfig(arrival_mode=ARRIVAL_EAGER, **base)
-        streamed = TenantExperimentConfig(arrival_mode=ARRIVAL_STREAMED,
-                                          **base)
-        return eager, streamed
+        return TenantExperimentConfig(**base)
 
     def test_econ_cell_byte_identical(self):
-        eager, streamed = self._pair(scheme="econ-cheap", budget_sigma=0.3)
-        assert _rendered(run_tenant_cell(streamed)) \
-            == _rendered(run_tenant_cell(eager))
+        config = self._config(scheme="econ-cheap", budget_sigma=0.3)
+        assert _rendered(run_tenant_cell(config)) \
+            == _rendered(run_eager_cell(config))
 
     def test_bypass_cell_byte_identical(self):
-        eager, streamed = self._pair(scheme="bypass")
-        assert _rendered(run_tenant_cell(streamed)) \
-            == _rendered(run_tenant_cell(eager))
+        config = self._config(scheme="bypass")
+        assert _rendered(run_tenant_cell(config)) \
+            == _rendered(run_eager_cell(config))
 
     def test_shocked_tiered_cell_byte_identical(self):
         from repro.workload.grammar import parse_shock
 
-        eager, streamed = self._pair(
+        config = self._config(
             scheme="econ-cheap", budget_sigma=0.4, tenant_tiers=TIERS,
             shocks=(parse_shock("price@0.4:0.3:1.6"),))
-        assert _rendered(run_tenant_cell(streamed)) \
-            == _rendered(run_tenant_cell(eager))
+        assert _rendered(run_tenant_cell(config)) \
+            == _rendered(run_eager_cell(config))
 
     def test_sharded_streamed_matches_eager_for_all_shard_counts(self):
-        eager, streamed = self._pair(scheme="econ-cheap", budget_sigma=0.3)
-        baseline = _rendered(run_tenant_cell(eager))
+        config = self._config(scheme="econ-cheap", budget_sigma=0.3)
+        baseline = _rendered(run_eager_cell(config))
         for shards in (1, 2, 3, 4):
-            merged = run_tenant_experiment([streamed], shards=shards)
+            merged = run_tenant_experiment([config], shards=shards)
             assert _rendered(merged[0]) == baseline
 
     def test_streamed_queries_are_batch_planned(self, monkeypatch):
-        # Nothing primes a stream: every arrival is scored on its own by
-        # the batch scheduler, to the eager run's figures.
-        from repro.economy.batch import BatchScheduler
+        # The lookahead window primes the planner: no arrival is scored on
+        # its own, and the whole 80-query cell fits one vectorized window
+        # per template — still to the eager oracle's figures.
+        from repro.economy import batch
 
-        single = []
-        evaluate = BatchScheduler._evaluate_single
+        single, blocks = [], []
+        evaluate_single = batch.BatchScheduler._evaluate_single
+        evaluate_table = batch.evaluate_plan_table
 
-        def counted(scheduler, query):
+        def counted_single(scheduler, query):
             single.append(query.query_id)
-            return evaluate(scheduler, query)
+            return evaluate_single(scheduler, query)
 
-        monkeypatch.setattr(BatchScheduler, "_evaluate_single", counted)
-        eager, streamed = self._pair(scheme="econ-cheap")
-        assert _rendered(run_tenant_cell(streamed)) == \
-            _rendered(run_tenant_cell(eager))
-        assert len(single) == QUICK["query_count"]
+        def counted_table(table, queries, execution):
+            blocks.append(len(queries))
+            return evaluate_table(table, queries, execution)
+
+        monkeypatch.setattr(batch.BatchScheduler, "_evaluate_single",
+                            counted_single)
+        monkeypatch.setattr(batch, "evaluate_plan_table", counted_table)
+        config = self._config(scheme="econ-cheap")
+        streamed = _rendered(run_tenant_cell(config))
+        assert single == []
+        assert sum(blocks) == QUICK["query_count"]
+        templates = {query.template_name
+                     for query in build_population(config).queries}
+        assert len(blocks) == len(templates)
+        assert streamed == _rendered(run_eager_cell(config))
 
     def test_unknown_arrival_mode_rejected(self):
-        with pytest.raises(ExperimentError):
+        # There is one arrival path: the config has no arrival mode, and
+        # the CLI no longer accepts --arrival-mode.
+        with pytest.raises(TypeError):
             TenantExperimentConfig(scheme="econ-cheap",
-                                   arrival_mode="psychic", **QUICK)
+                                   arrival_mode="streamed", **QUICK)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "tenants", "--n-tenants",
+             "4", "--queries", "10", "--arrival-mode", "streamed"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            check=False)
+        assert completed.returncode == 2
+        assert b"unrecognized arguments" in completed.stderr
 
 
 class TestStreamedCellProperty:
@@ -502,16 +571,75 @@ class TestStreamedCellProperty:
             settle=st.booleans(),
         )
         def check(scheme, tenant_count, query_count, seed, churn, settle):
-            base = dict(
+            config = TenantExperimentConfig(
                 scheme=scheme, tenant_count=tenant_count,
                 query_count=query_count, seed=seed,
                 churn_period=12 if churn else 0, churn_fraction=0.25,
                 settlement_period_s=100.0 if settle else None)
-            eager = run_tenant_cell(TenantExperimentConfig(
-                arrival_mode=ARRIVAL_EAGER, **base))
-            streamed = run_tenant_cell(TenantExperimentConfig(
-                arrival_mode=ARRIVAL_STREAMED, **base))
-            assert _rendered(streamed) == _rendered(eager)
+            assert _rendered(run_tenant_cell(config)) \
+                == _rendered(run_eager_cell(config))
+
+        check()
+
+    def test_primed_window_straddling_barrier_and_shock(self):
+        """Windows primed from a small lookahead span a settlement barrier
+        and an invalidation shock, and still match the eager oracle."""
+        from hypothesis import HealthCheck, assume, given, settings
+        from hypothesis import strategies as st
+
+        from repro.economy import batch
+        from repro.workload.grammar import parse_shock
+
+        @settings(max_examples=12, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow,
+                                         HealthCheck.filter_too_much])
+        @given(
+            lookahead=st.integers(min_value=10, max_value=16),
+            query_count=st.integers(min_value=30, max_value=60),
+            seed=st.integers(min_value=0, max_value=6),
+            period=st.sampled_from((12.0, 25.0)),
+            onset=st.integers(min_value=15, max_value=85),
+            churn=st.booleans(),
+        )
+        def check(lookahead, query_count, seed, period, onset, churn):
+            config = TenantExperimentConfig(
+                scheme="econ-cheap", tenant_count=4,
+                query_count=query_count, interarrival_s=5.0, seed=seed,
+                churn_period=10 if churn else 0, churn_fraction=0.25,
+                settlement_period_s=period,
+                shocks=(parse_shock(f"invalidate@{onset / 100}"),))
+            queries = build_population(config).queries
+            first = queries[0].arrival_time
+            span = queries[-1].arrival_time - first
+            shock_s = first + (onset / 100) * span
+            barriers = [first + period * k
+                        for k in range(1, int(span // period) + 1)]
+
+            windows = []
+            evaluate_window = batch.BatchScheduler._evaluate_window
+
+            def recorded(scheduler, start):
+                evaluate_window(scheduler, start)
+                ids = set(scheduler._columns)
+                arrivals = [query.arrival_time for query in queries
+                            if query.query_id in ids]
+                windows.append((min(arrivals), max(arrivals)))
+
+            source = functools.partial(StreamingArrivalSource,
+                                       lookahead=lookahead)
+            with mock.patch.object(streaming, "StreamingArrivalSource",
+                                   source), \
+                    mock.patch.object(batch.BatchScheduler,
+                                      "_evaluate_window", recorded):
+                streamed = _rendered(run_tenant_cell(config))
+
+            def straddled(instant):
+                return any(low < instant < high for low, high in windows)
+
+            assume(straddled(shock_s)
+                   and any(straddled(barrier) for barrier in barriers))
+            assert len(windows) > 1  # later windows queued behind earlier
+            assert streamed == _rendered(run_eager_cell(config))
 
         check()
 
@@ -526,8 +654,7 @@ class TestBoundedMaterialization:
 
         config = TenantExperimentConfig(
             scheme="econ-cheap", tenant_count=8, query_count=200,
-            interarrival_s=5.0, seed=6, churn_period=20, churn_fraction=0.25,
-            arrival_mode=ARRIVAL_STREAMED)
+            interarrival_s=5.0, seed=6, churn_period=20, churn_fraction=0.25)
         spec = config.population_spec()
         source = GenerativeProfileSource(spec=spec)
         generator = WorkloadGenerator(config.workload_spec())
@@ -554,13 +681,13 @@ class TestBoundedMaterialization:
 
 class TestStreamedGauges:
     def test_streamed_metrics_carry_memory_gauges(self):
+        # Every cell samples live/materialised tenants; each shard worker
+        # (its own process) also gauges its peak RSS.
         from repro.obs.metrics import MetricsTimeseries
 
-        config = TenantExperimentConfig(scheme="econ-cheap",
-                                        arrival_mode=ARRIVAL_STREAMED,
-                                        **QUICK)
+        config = TenantExperimentConfig(scheme="econ-cheap", **QUICK)
         metrics = MetricsTimeseries()
-        run_tenant_cell(config, metrics=metrics)
+        run_tenant_experiment([config], shards=2, metrics=metrics)
         samples = metrics.samples
         assert samples
         assert all("live_tenants" in sample for sample in samples)
@@ -568,14 +695,13 @@ class TestStreamedGauges:
         assert all("peak_rss_bytes" in sample for sample in samples)
         assert all(sample["peak_rss_bytes"] > 0 for sample in samples)
 
-    def test_eager_metrics_stay_deterministic(self):
-        # The eager path samples live tenants (a pure simulation quantity)
-        # but never the OS high-water mark, keeping its emission bitwise
-        # reproducible run to run.
+    def test_unsharded_metrics_stay_deterministic(self):
+        # An unsharded cell samples live tenants (a pure simulation
+        # quantity) but never the OS high-water mark, keeping its emission
+        # bitwise reproducible run to run.
         from repro.obs.metrics import MetricsTimeseries
 
-        config = TenantExperimentConfig(scheme="econ-cheap",
-                                        arrival_mode=ARRIVAL_EAGER, **QUICK)
+        config = TenantExperimentConfig(scheme="econ-cheap", **QUICK)
         first = MetricsTimeseries()
         run_tenant_cell(config, metrics=first)
         second = MetricsTimeseries()
