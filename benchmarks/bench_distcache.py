@@ -1,23 +1,21 @@
-"""Partitioned-cache scaling benchmark: replicated vs partitioned modes.
+"""Partitioned-cache scaling benchmark: partitioned vs the global cache.
 
 The claim under test is the one ``docs/distcache.md`` makes: the
-replicated-replay sharding mode multiplies per-query compute (every shard
-replays every query), while the partitioned mode keeps it flat (each
-query is planned and priced by exactly one partition) and shrinks each
-worker's cache footprint to its owned slice.
+partitioned mode keeps per-query compute flat (each query is planned and
+priced by exactly one partition) and shrinks each partition's cache
+footprint to its owned slice.
 
-Both modes therefore run on **one worker process** here: sequential
-wall-clock is total compute, which is the quantity the modes differ in —
-with N shards the replicated run does ~N times the engine work of the
-unsharded run, the partitioned run ~1 times. Per-worker peak cache bytes
-are read from the cache managers themselves. Each partitioned scale also
-runs with ``placement="adaptive"``: template-affinity routing makes the
+Every run is sequential in one process here, so wall-clock is total
+compute: the global-cache cell is the ``unsharded`` baseline, and a
+partitioned cell at any scale does ~1 times its engine work. Per-partition
+peak cache bytes are read from the cache managers themselves. Each
+partitioned scale also runs with ``placement="adaptive"``: template-affinity routing makes the
 workload locality-skewed (a template's queries all land on one
 partition, which keeps paying the remote surcharge for foreign-owned
 structures), and the adaptive rows record how demand-driven handoffs cut
 that surcharge and how delta publication cuts barrier bytes (the
 dedicated sweep is ``bench_placement.py``). Results land in
-``BENCH_distcache.json`` next to ``BENCH_sharding.json``.
+``BENCH_distcache.json``.
 
 A separate jobs axis times the one place partitioned runs use more than
 one core: the three economic schemes' cells, partitioned, run through
@@ -60,7 +58,6 @@ from repro.experiments.tenants import (  # noqa: E402
     TenantExperimentConfig,
     run_tenant_cell,
 )
-from repro.sharding import ShardCoordinator  # noqa: E402
 
 #: Default artifact path: the repository root, as a first-class record.
 DEFAULT_OUTPUT = os.path.join(
@@ -112,8 +109,7 @@ def _jobs_axis(config: TenantExperimentConfig,
 
 
 def _peak_global_cache_bytes(config: TenantExperimentConfig) -> int:
-    """Peak cache footprint of the shared-cache run (what every replicated
-    worker materialises)."""
+    """Peak cache footprint of the global-cache run."""
     import repro.experiments.tenants as tenants_module
     from repro.policies.economic import EconomicSchemeConfig
     from repro.economy.tenancy import TenantRegistry
@@ -138,18 +134,16 @@ def run_benchmark(tenant_count: int = 100, query_count: int = 300,
                   settlement_period_s: float = 30.0,
                   jobs_query_count: int = 2000,
                   jobs_repetitions: int = 3) -> Dict:
-    """Time both modes at each scale on one worker; record the artifact.
+    """Time the partitioned modes at each scale; record the artifact.
 
     Args:
         tenant_count: population size of the cell.
         query_count: queries replayed per run.
         partition_counts: scales to sweep; each count N is run as
-            ``--shards N`` (replicated) and ``--cache-partitions N``
-            (partitioned).
+            ``--cache-partitions N`` with hash and adaptive placement.
         scheme: the caching scheme under test.
         seed: workload/population seed.
-        settlement_period_s: barrier period (directory sync cadence for
-            the partitioned runs, checkpoint cadence for the sharded ones).
+        settlement_period_s: barrier period (directory sync cadence).
         jobs_query_count: queries per cell on the jobs axis; large enough
             by default that cell work, not pool start-up, dominates.
         jobs_repetitions: timed repetitions per job count on the jobs axis.
@@ -169,19 +163,6 @@ def run_benchmark(tenant_count: int = 100, query_count: int = 300,
 
     runs: List[Dict] = []
     for count in partition_counts:
-        coordinator = ShardCoordinator(count, max_workers=1)
-        started = time.perf_counter()
-        coordinator.run_cell(config)
-        replicated_s = time.perf_counter() - started
-        runs.append({
-            "benchmark_mode": "replicated",
-            "partitions": count,
-            "elapsed_s": replicated_s,
-            "queries_per_s": query_count / replicated_s,
-            "engine_queries": query_count * count,
-            "peak_worker_cache_bytes": global_peak,
-        })
-
         for placement in ("hash", "adaptive"):
             started = time.perf_counter()
             report = run_partitioned_cell(config, partitions=count,
@@ -250,7 +231,7 @@ def write_report(report: Dict, path: str = DEFAULT_OUTPUT) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Record replicated-vs-partitioned throughput to "
+        description="Record partitioned-cache throughput to "
                     "BENCH_distcache.json")
     parser.add_argument("--tenants", type=int, default=100)
     parser.add_argument("--queries", type=int, default=300)

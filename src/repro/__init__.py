@@ -25,7 +25,6 @@ from repro.workload.query import Query, QueryTemplate
 from repro.simulator.simulation import CloudSimulation, SimulationConfig, run_scheme
 from repro.simulator.results import SimulationResult
 from repro.policies.factory import SCHEME_NAMES, build_scheme
-from repro.sharding import ShardCoordinator, TenantPartitioner
 from repro.distcache import (
     DistCacheRunner,
     StructurePartitioner,
@@ -50,8 +49,6 @@ __all__ = [
     "run_scheme",
     "build_scheme",
     "SCHEME_NAMES",
-    "ShardCoordinator",
-    "TenantPartitioner",
     "DistCacheRunner",
     "StructurePartitioner",
     "run_partitioned_cell",

@@ -9,7 +9,6 @@ Exposes the experiment drivers without writing any Python::
     python -m repro.cli scenario --arrival diurnal --scheme econ-cheap
     python -m repro.cli scenario --arrival shocks --settlement-period 300
     python -m repro.cli tenants --n-tenants 100 --jobs 4
-    python -m repro.cli tenants --n-tenants 1000 --shards 4 --jobs 4
     python -m repro.cli tenants --cache-partitions 4 --settlement-period 60
     python -m repro.cli shocks --schemes all --strict-maintenance
     python -m repro.cli shocks --cache-partitions 2 --placement adaptive
@@ -21,22 +20,17 @@ commands, scheme cells for ``tenants``); the tables are byte-identical
 to the sequential run. ``scenario`` replays any scheme under one of the
 scenario-diverse arrival regimes through the event kernel; ``tenants``
 runs schemes over a Zipf-skewed, churning N-tenant population and
-reports per-tenant credit/hit-rate aggregates. ``tenants --shards N``
-additionally splits each scheme cell into N tenant shards executed
-through :mod:`repro.sharding` (``--jobs`` sizes the pool those shard
-tasks share); the merged tables are byte-identical to the unsharded run.
-``tenants --cache-partitions N`` instead partitions the *cache and
-provider economy* N ways through :mod:`repro.distcache`, in one process
-per cell (``--jobs`` fans out the cells) —
-explicitly different semantics (remote hits, epoch-consistent directory);
-the report gains per-partition and divergence-vs-global sections, and
-``--cache-partitions 1`` is byte-identical to the normal path. The two
-modes are alternatives: ``--shards`` and ``--cache-partitions`` cannot
-both exceed 1. ``--placement adaptive`` additionally lets settlement
-barriers hand structure ownership to the partition deriving the most
-priced benefit (hysteresis set by ``--handoff-threshold``), adding a
-placement report section; the default ``--placement hash`` output stays
-byte-identical to earlier releases.
+reports per-tenant credit/hit-rate aggregates.
+``tenants --cache-partitions N`` partitions the *cache and provider
+economy* N ways through :mod:`repro.distcache`, in one process per cell
+(``--jobs`` fans out the cells) — explicitly different semantics (remote
+hits, epoch-consistent directory); the report gains per-partition and
+divergence-vs-global sections, and ``--cache-partitions 1`` is
+byte-identical to the normal path. ``--placement adaptive`` additionally
+lets settlement barriers hand structure ownership to the partition
+deriving the most priced benefit (hysteresis set by
+``--handoff-threshold``), adding a placement report section; the default
+``--placement hash`` output stays byte-identical to earlier releases.
 
 ``shocks`` runs the adversarial scenario grammar: every scheme replays
 the same grammar-composed workload twice — clean and with market shocks
@@ -44,9 +38,9 @@ injected (structure invalidations, provider price shocks, tenant budget
 squeezes, optionally the strict-maintenance shutdown policy) — and the
 resilience table compares the two, with a bitwise conservation audit on
 the shocked run. ``--shock``/``--class`` extend the stock grammar
-(also accepted by ``scenario``/``tenants``); ``--shards`` and
-``--cache-partitions`` rerun the shocked cells through the scaling
-modes, whose own barrier audits then pin conservation under faults.
+(also accepted by ``scenario``/``tenants``); ``--cache-partitions``
+reruns the shocked cells over a partitioned cache, whose own barrier
+audits then pin conservation under faults.
 """
 
 from __future__ import annotations
@@ -71,7 +65,6 @@ from repro.distcache import (
 from repro.economy.engine import EconomyConfig
 from repro.errors import ReproError
 from repro.policies.economic import EconomicSchemeConfig
-from repro.sharding import ShardImbalanceWarning
 
 from repro.experiments.ablations import (
     ABLATION_HEADERS,
@@ -101,6 +94,7 @@ from repro.experiments.tenants import (
 from repro.obs import (
     TraceRecorder,
     build_manifest,
+    peak_rss_bytes,
     write_report_artifacts,
 )
 from repro.policies.factory import SCHEME_NAMES
@@ -135,8 +129,7 @@ _ABLATIONS = {
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type for ``--jobs``/``--shards``/``--cache-partitions``:
-    an integer >= 1.
+    """Argparse type for ``--jobs``/``--cache-partitions``: an integer >= 1.
 
     Raising :class:`argparse.ArgumentTypeError` makes argparse print a
     friendly ``error: argument --jobs: ...`` line and exit with code 2,
@@ -155,7 +148,7 @@ def _nonnegative_float(text: str) -> float:
     """Argparse type for ``--handoff-threshold``: a float >= 0.
 
     Exit-2 validated like the other numeric flags (``--jobs``,
-    ``--shards``, ``--cache-partitions``): argparse prints a friendly
+    ``--cache-partitions``): argparse prints a friendly
     ``error: argument --handoff-threshold: ...`` line instead of a
     traceback from inside the experiment driver.
     """
@@ -291,17 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     tenants.add_argument("--settlement-period", type=float, default=None,
                          metavar="S",
                          help="fire a periodic maintenance settlement every "
-                              "S simulated seconds (each one is a sharding "
-                              "barrier when --shards > 1)")
+                              "S simulated seconds")
     tenants.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                          help="worker processes shared by all cells "
                               "(default: 1, sequential)")
-    tenants.add_argument("--shards", type=_positive_int, default=1,
-                         metavar="N",
-                         help="split each scheme cell into N tenant shards, "
-                              "replayed deterministically and merged exactly; "
-                              "the tables are byte-identical to --shards 1 "
-                              "(default: 1, unsharded)")
     tenants.add_argument("--cache-partitions", type=_positive_int, default=1,
                          metavar="N",
                          help="partition the cache and provider economy "
@@ -309,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(repro.distcache) — "
                               "explicitly different semantics for N > 1; "
                               "adds per-partition and divergence report "
-                              "sections, mutually exclusive with --shards "
-                              "(default: 1, global cache)")
+                              "sections (default: 1, global cache)")
     tenants.add_argument("--placement", choices=PLACEMENT_MODES,
                          default="hash",
                          help="structure placement across cache partitions: "
@@ -374,12 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the clean/shocked pairs "
                              "and the partitioned reruns (default: 1, "
                              "sequential; byte-identical)")
-    shocks.add_argument("--shards", type=_positive_int, default=1,
-                        metavar="N",
-                        help="additionally rerun the shocked cells split "
-                             "into N tenant shards (repro.sharding); the "
-                             "sharded tables must be byte-identical to the "
-                             "plain shocked run (default: 1, skip)")
     shocks.add_argument("--cache-partitions", type=_positive_int, default=1,
                         metavar="N",
                         help="additionally rerun the shocked cells with the "
@@ -588,19 +567,18 @@ def _scenario_command(args: argparse.Namespace,
 
 
 #: Library warnings the CLI re-renders as plain ``warning:`` stderr lines.
-_RENDERED_WARNINGS = (ShardImbalanceWarning, PartitionImbalanceWarning,
-                      GrammarDegeneracyWarning)
+_RENDERED_WARNINGS = (PartitionImbalanceWarning, GrammarDegeneracyWarning)
 
 
 def _render_warnings(caught: List[warnings.WarningMessage]) -> None:
     """Re-render known run-layout warnings; re-emit everything else.
 
-    The imbalance warnings of the sharding and cache-partitioning layers
-    become plain ``warning:`` stderr lines; anything else recorded is
-    re-emitted afterwards with its original metadata, so unrelated
-    warnings keep their normal behaviour. Callers should record with the
-    "default" filter on the rendered categories, which dedupes repeats —
-    one imbalance prints once however many cells trigger it.
+    The cache-partitioning layer's imbalance warning and the grammar's
+    degeneracy warning become plain ``warning:`` stderr lines; anything
+    else recorded is re-emitted afterwards with its original metadata, so
+    unrelated warnings keep their normal behaviour. Callers should record
+    with the "default" filter on the rendered categories, which dedupes
+    repeats — one imbalance prints once however many cells trigger it.
     """
     for entry in caught:
         if issubclass(entry.category, _RENDERED_WARNINGS):
@@ -618,12 +596,6 @@ def _tenants_command(args: argparse.Namespace,
                    if name.strip()])
     if not names:
         raise ReproError("--schemes selects no scheme")
-    if args.cache_partitions > 1 and args.shards > 1:
-        raise ReproError(
-            "--cache-partitions and --shards are alternative scaling modes "
-            "and cannot both exceed 1 (see docs/distcache.md for when to "
-            "prefer which)"
-        )
     if args.placement != "hash" and args.cache_partitions == 1:
         raise ReproError(
             "--placement adaptive needs --cache-partitions > 1: with one "
@@ -672,8 +644,7 @@ def _tenants_command(args: argparse.Namespace,
                     sections.append(placement)
         else:
             results = run_tenant_experiment(configs, jobs=args.jobs,
-                                            shards=args.shards, trace=trace,
-                                            metrics=metrics)
+                                            trace=trace, metrics=metrics)
             for result in results:
                 sections.append(tenant_aggregate_table(result))
                 if args.top > 0:
@@ -690,11 +661,6 @@ def _shocks_command(args: argparse.Namespace,
                    if name.strip()])
     if not names:
         raise ReproError("--schemes selects no scheme")
-    if args.cache_partitions > 1 and args.shards > 1:
-        raise ReproError(
-            "--cache-partitions and --shards are alternative scaling modes "
-            "and cannot both exceed 1"
-        )
     if args.placement != "hash" and args.cache_partitions == 1:
         raise ReproError(
             "--placement adaptive needs --cache-partitions > 1: with one "
@@ -724,8 +690,8 @@ def _shocks_command(args: argparse.Namespace,
     with warnings.catch_warnings(record=True) as caught:
         for category in _RENDERED_WARNINGS:
             warnings.simplefilter("default", category)
-        # The recorders observe the primary shocked cells; the scaling-mode
-        # reruns below are byte-identity audits and stay unobserved.
+        # The recorders observe the primary shocked cells; the partitioned
+        # rerun below is a conservation audit and stays unobserved.
         results = run_shock_resilience(configs, jobs=args.jobs,
                                        trace=trace, metrics=metrics)
         sections.append(shock_resilience_table(results))
@@ -743,24 +709,6 @@ def _shocks_command(args: argparse.Namespace,
                     f"({item.audit.query_payments!r} != "
                     f"{item.audit.outcome_charges!r})")
 
-        if args.shards > 1:
-            # The sharded rerun must reproduce the plain shocked cells
-            # byte for byte — replicated replay is fault-transparent.
-            sharded = run_tenant_experiment(configs, jobs=args.jobs,
-                                            shards=args.shards)
-            for result, item in zip(sharded, results):
-                identical = (result.summary == item.shocked.summary
-                             and result.tenants == item.shocked.tenants
-                             and result.wallet_credit
-                             == item.shocked.wallet_credit)
-                if not identical:
-                    raise ReproError(
-                        f"sharded shocked run diverged from the plain one "
-                        f"for scheme {result.config.scheme!r}"
-                    )
-                conservation_lines.append(
-                    f"{result.config.scheme}: --shards {args.shards} "
-                    f"byte-identical under shocks")
         if args.cache_partitions > 1:
             # Partitioned mode needs an economy; the bypass baseline has
             # none and is skipped from the rerun with a note.
@@ -868,8 +816,8 @@ def _write_observability_artifacts(args: argparse.Namespace,
                                    run_s: float,
                                    profile_top=None) -> None:
     """Emit trace/metrics JSONL artifacts, each with a run manifest
-    (``PATH.manifest.json``) carrying the cProfile hotspots when the run
-    profiled."""
+    (``PATH.manifest.json``) carrying the process tree's peak RSS and,
+    when the run profiled, the cProfile hotspots."""
     schemes = _observed_schemes(args)
     if args.command in ("figure4", "figure5", "headline"):
         seed = _PROFILES[args.profile].seed
@@ -892,12 +840,14 @@ def _write_observability_artifacts(args: argparse.Namespace,
                   else "metrics_samples"): size}
         if profile_top is not None:
             extra["profile_top"] = profile_top
+        rss = peak_rss_bytes()
+        if rss is not None:
+            extra["peak_rss_bytes"] = rss
         manifest = build_manifest(
             args.command,
             seed=seed,
             config=config,
             schemes=schemes,
-            shards=getattr(args, "shards", 1),
             cache_partitions=getattr(args, "cache_partitions", 1),
             placement=getattr(args, "placement", "hash"),
             phase_timings_s={"run": run_s, f"emit_{kind}": emit_s},

@@ -1,8 +1,6 @@
 """Partitioned cache & provider economy: scale per-query compute.
 
-Where :mod:`repro.sharding` replicates the full replay on every worker
-(scaling per-worker *tenant state* while the shared cache couples all
-tenants), this subsystem partitions the cache and the provider economy
+This subsystem partitions the cache and the provider economy
 themselves: a stable hash assigns every structure key to exactly one
 partition (:class:`StructurePartitioner`), queries route to partitions by
 template affinity (:class:`QueryRouter`), each partition runs its own
@@ -11,7 +9,7 @@ template affinity (:class:`QueryRouter`), each partition runs its own
 partitions use each other's structures for a modeled remote-access
 surcharge (:class:`RemoteAccessModel`). Each query is planned, priced,
 and negotiated by exactly one partition — per-query compute stays flat as
-partitions are added, instead of multiplying.
+partitions are added.
 
 Placement is hash-static by default, but ``placement="adaptive"`` lets a
 :class:`PlacementPolicy` hand structures to the partition deriving the
@@ -24,9 +22,9 @@ rather than cache size.
 
 The price is **new, explicitly different semantics** (epoch-consistent
 directory, remote hits, owned-only investment) — see ``docs/distcache.md``
-for the contract, the bitwise conservation audits, and when to prefer the
-replicated mode. With one partition the mode degenerates exactly: the
-report tables are byte-identical to the global-cache path.
+for the contract and the bitwise conservation audits. With one partition
+the mode degenerates exactly: the report tables are byte-identical to
+the global-cache path.
 
 Typical use, directly or through ``repro.cli tenants --cache-partitions N``::
 

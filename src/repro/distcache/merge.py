@@ -1,9 +1,9 @@
 """Exact merge and audit of per-partition results.
 
 Partitioned mode changes the simulation's semantics (see
-``docs/distcache.md``), so unlike :mod:`repro.sharding.merge` there is no
-byte-identity barrier against a replicated twin. What *is* pinned exactly
-— bitwise, no tolerances — is the money:
+``docs/distcache.md``), so there is no byte-identity barrier against the
+global-cache run. What *is* pinned exactly — bitwise, no tolerances — is
+the money:
 
 * **Ledger integrity.** Every provider sub-account's credit, and every
   tenant wallet's balance, equals the left fold of its own transaction
@@ -19,10 +19,11 @@ byte-identity barrier against a replicated twin. What *is* pinned exactly
   charged was banked by exactly one sub-account.
 
 The fold back into a :class:`~repro.experiments.tenants.TenantCellResult`
-reuses the unsharded reporting pipeline: steps re-sort under the arrival
-order, tenant breakdowns under the same total order the unsharded run
-uses, and with a single partition the merge is bitwise the unpartitioned
-result (the fidelity gate ``--cache-partitions 1`` relies on).
+reuses the global-cache reporting pipeline: steps re-sort under the
+arrival order, tenant breakdowns under the same total order the global
+run uses (:func:`~repro.experiments.tenants.sorted_breakdowns`), and with
+a single partition the merge is bitwise the unpartitioned result (the
+fidelity gate ``--cache-partitions 1`` relies on).
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Deterministic structure → partition and query → partition assignment.
 
 Two mappings define a partitioned run, both built on the stable content
-hash of :mod:`repro.partitioning` (the helper shared with tenant
-sharding, so the two layers cannot drift):
+hash of :mod:`repro.partitioning`:
 
 * :class:`StructurePartitioner` — which cache partition **owns** a
   structure key. Only the owner may build, hold, bill, or evict the
@@ -23,8 +22,7 @@ sharding, so the two layers cannot drift):
   sending a template always to the same partition maximises the chance
   that the structures it wants are owned locally. This is the axis that
   scales per-query compute — each query is planned, priced, and
-  negotiated by exactly one partition, where the replicated-replay
-  sharding mode re-runs every query on every worker.
+  negotiated by exactly one partition.
 
 Example:
     >>> partitioner = StructurePartitioner(partition_count=4)

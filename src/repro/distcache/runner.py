@@ -24,9 +24,9 @@ serialised between barriers. More cores go to *independent cells*:
 :meth:`DistCacheRunner.run_cells` fans cells over a process pool of
 ``max_workers``, which changes wall-clock, never results.
 
-Unlike the replicated-replay sharding mode, each query here is planned,
-priced, and negotiated by exactly **one** partition: total per-query
-compute stays ~constant as partitions are added, instead of multiplying.
+Each query is planned, priced, and negotiated by exactly **one**
+partition: total per-query compute stays ~constant as partitions are
+added.
 The price is weaker semantics (epoch-consistent directory, remote-access
 surcharges, owned-only investment) — quantified for every run by the
 divergence report against the global-cache baseline and documented in

@@ -30,8 +30,7 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
-                    Set, Tuple)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.economy.account import CloudAccount, ledger_fold
 from repro.economy.budget import BudgetFunction
@@ -260,37 +259,6 @@ class TenantRegistry:
 
     # -- economy hooks ---------------------------------------------------------
 
-    @staticmethod
-    def derive_budget(profile: Optional[TenantProfile], query: Query,
-                      backend_price: float, backend_response_time_s: float,
-                      default_model: UserModel) -> BudgetFunction:
-        """The budget a (possibly unknown) profile yields for ``query``.
-
-        Pure: no registry state is read or written, so any replica holding
-        the same static profile derives the same curve — the property the
-        sharded execution layer's foreign-tenant path depends on. ``None``
-        behaves like a freshly auto-registered neutral profile.
-
-        Args:
-            profile: the issuing tenant's static profile, or ``None``.
-            query: the query being negotiated.
-            backend_price: reference price of back-end execution.
-            backend_response_time_s: reference back-end response time.
-            default_model: the engine's baseline user model.
-
-        Returns:
-            The tenant-adjusted :class:`~repro.economy.budget.BudgetFunction`.
-        """
-        model = default_model
-        if profile is not None and profile.user_model is not None:
-            model = profile.user_model
-        budget = model.budget_for(query, backend_price,
-                                  backend_response_time_s)
-        multiplier = 1.0 if profile is None else profile.budget_multiplier
-        if multiplier != 1.0:
-            budget = budget.scaled(multiplier)
-        return budget
-
     def budget_for(self, query: Query, backend_price: float,
                    backend_response_time_s: float,
                    default_model: UserModel) -> BudgetFunction:
@@ -312,8 +280,15 @@ class TenantRegistry:
         """
         state = self.ensure(query.tenant_id)
         state.queries_processed += 1
-        return self.derive_budget(state.profile, query, backend_price,
-                                  backend_response_time_s, default_model)
+        profile = state.profile
+        model = default_model
+        if profile.user_model is not None:
+            model = profile.user_model
+        budget = model.budget_for(query, backend_price,
+                                  backend_response_time_s)
+        if profile.budget_multiplier != 1.0:
+            budget = budget.scaled(profile.budget_multiplier)
+        return budget
 
     def charge(self, tenant_id: str, amount: float, now: float = 0.0,
                note: str = "") -> None:
@@ -416,11 +391,6 @@ class GenerativeTenantRegistry(TenantRegistry):
 
     Args:
         source: the pure profile derivation.
-        owns: optional ownership predicate ``(index, tenant_id) -> bool``
-            restricting which tenants this registry accounts for (the
-            sharded execution layer passes its partitioner; ``None`` owns
-            everything). Foreign tenants are tracked only through the
-            mint high-water mark so their profiles stay derivable.
 
     Example:
         >>> from repro.workload.population import (GenerativeProfileSource,
@@ -442,14 +412,10 @@ class GenerativeTenantRegistry(TenantRegistry):
         7.5
     """
 
-    def __init__(self, source: "GenerativeProfileSource",
-                 owns: Optional[Callable[[Optional[int], str], bool]] = None
-                 ) -> None:
+    def __init__(self, source: "GenerativeProfileSource") -> None:
         super().__init__()
         self._source = source
-        self._owns = owns
         self._minted = 0
-        self._owned_minted = 0
         self._seed_total = 0.0
         self._withdrawn_total = 0.0
         self._live_indices: Set[int] = set()
@@ -469,31 +435,25 @@ class GenerativeTenantRegistry(TenantRegistry):
 
     @property
     def population_minted(self) -> int:
-        """Population indices observed so far (owned and foreign alike)."""
+        """Population indices observed so far."""
         return self._minted
-
-    def _owned_index(self, index: Optional[int], tenant_id: str) -> bool:
-        return self._owns is None or self._owns(index, tenant_id)
 
     def _advance_minted(self, new_minted: int) -> None:
         """Observe population indices up to ``new_minted`` (exclusive).
 
-        Minting is pure bookkeeping: for each newly observed *owned*
-        index the seed credit joins the conserved total, exactly as the
-        eager path's up-front registration would have deposited it.
+        Minting is pure bookkeeping: each newly observed index's seed
+        credit joins the conserved total, one index at a time in mint
+        order — exactly as the eager path's up-front registration would
+        have deposited it, so the total is bitwise the eager one.
         """
-        owns = self._owns
         credit_for = self._source.initial_credit_for
         for index in range(self._minted, new_minted):
-            # Only an ownership predicate needs the formatted id.
-            if owns is None or owns(index, tenant_id_for(index)):
-                self._owned_minted += 1
-                self._seed_total += credit_for(index)
+            self._seed_total += credit_for(index)
         if new_minted > self._minted:
             self._minted = new_minted
 
     def _materialize(self, index: int) -> TenantState:
-        """Build the full state of an owned population tenant on demand."""
+        """Build the full state of a population tenant on demand."""
         state = TenantState(self._source.profile_for(index))
         archived = self._archived.pop(index, None)
         if archived is not None:
@@ -538,17 +498,9 @@ class GenerativeTenantRegistry(TenantRegistry):
             return state
         index = self._source.index_of(tenant_id)
         if index is not None:
-            if not self._owned_index(index, tenant_id):
-                raise EconomyError(
-                    f"tenant {tenant_id!r} is not owned by this registry"
-                )
             if index >= self._minted:
                 self._advance_minted(index + 1)
             return self._materialize(index)
-        if not self._owned_index(None, tenant_id):
-            raise EconomyError(
-                f"tenant {tenant_id!r} is not owned by this registry"
-            )
         # Auto-registration dispatches back through :meth:`register`, which
         # records the ad-hoc id and the materialisation peak.
         return super().ensure(tenant_id)
@@ -563,13 +515,9 @@ class GenerativeTenantRegistry(TenantRegistry):
         """
         index = self._source.index_of(tenant_id)
         if index is None:
-            if not self._owned_index(None, tenant_id):
-                return None
             return super().activate(tenant_id, now)
         if index >= self._minted:
             self._advance_minted(index + 1)
-        if not self._owned_index(index, tenant_id):
-            return None
         self._live_indices.add(index)
         state = self._states.get(tenant_id)
         if state is not None:
@@ -588,11 +536,7 @@ class GenerativeTenantRegistry(TenantRegistry):
         """
         index = self._source.index_of(tenant_id)
         if index is None:
-            if not self._owned_index(None, tenant_id):
-                return None
             return super().deactivate(tenant_id, now)
-        if not self._owned_index(index, tenant_id):
-            return None
         self._live_indices.discard(index)
         state = self._states.pop(tenant_id, None)
         if state is not None:
@@ -614,21 +558,20 @@ class GenerativeTenantRegistry(TenantRegistry):
     def __contains__(self, tenant_id: str) -> bool:
         index = self._source.index_of(tenant_id)
         if index is not None:
-            return index < self._minted and self._owned_index(index, tenant_id)
+            return index < self._minted
         return super().__contains__(tenant_id)
 
     def __len__(self) -> int:
-        return self._owned_minted + len(self._adhoc_ids)
+        return self._minted + len(self._adhoc_ids)
 
     def tenant_ids(self) -> List[str]:
-        """All owned tenant ids ever minted, in mint order (O(minted))."""
-        ids = [tenant_id_for(index) for index in range(self._minted)
-               if self._owned_index(index, tenant_id_for(index))]
+        """All tenant ids ever minted, in mint order (O(minted))."""
+        ids = [tenant_id_for(index) for index in range(self._minted)]
         ids.extend(self._adhoc_ids)
         return ids
 
     def active_ids(self) -> List[str]:
-        """Ids of currently live owned tenants, in mint order."""
+        """Ids of currently live tenants, in mint order."""
         ids = [tenant_id_for(index) for index in sorted(self._live_indices)]
         ids.extend(tid for tid in self._adhoc_ids
                    if self._states[tid].active)
@@ -646,15 +589,15 @@ class GenerativeTenantRegistry(TenantRegistry):
         return self._seed_total - self._withdrawn_total
 
     def total_charged(self) -> float:
-        """Every query payment charged to owned tenants so far (O(1))."""
+        """Every query payment charged so far (O(1))."""
         return self._withdrawn_total
 
     def seed_credit(self) -> float:
-        """Seed credit of every owned tenant minted so far (O(1))."""
+        """Seed credit of every tenant minted so far (O(1))."""
         return self._seed_total
 
     def credit_by_tenant(self) -> Dict[str, float]:
-        """Wallet balance per owned tenant id, in mint order (O(minted)).
+        """Wallet balance per tenant id, in mint order (O(minted)).
 
         Bitwise identical to the eager registry's values: materialised
         wallets replayed the same charges, archived wallets froze at
@@ -664,8 +607,6 @@ class GenerativeTenantRegistry(TenantRegistry):
         balances: Dict[str, float] = {}
         for index in range(self._minted):
             tenant_id = tenant_id_for(index)
-            if not self._owned_index(index, tenant_id):
-                continue
             state = self._states.get(tenant_id)
             if state is not None:
                 balances[tenant_id] = state.account.credit
@@ -678,11 +619,11 @@ class GenerativeTenantRegistry(TenantRegistry):
         return balances
 
     def live_tenant_count(self) -> int:
-        """Owned tenants that have arrived and not churned (O(live))."""
+        """Tenants that have arrived and not churned (O(live))."""
         live = len(self._live_indices)
         live += sum(1 for tid in self._adhoc_ids if self._states[tid].active)
         return live
 
     def materialized_tenant_count(self) -> int:
-        """Owned tenants currently holding a full state object."""
+        """Tenants currently holding a full state object."""
         return len(self._states)

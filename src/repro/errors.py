@@ -77,23 +77,12 @@ class ExperimentError(ReproError):
     """An experiment driver was configured inconsistently."""
 
 
-class ShardingError(ReproError):
-    """A sharded run was mis-configured or its shards diverged.
-
-    Raised both for plain configuration mistakes (shard counts < 1, a
-    worker asked about a tenant it does not own) and — more seriously —
-    when the merge barrier detects that two shards disagree about a
-    replicated quantity, which means the simulation was not deterministic.
-    """
-
-
 class PartitioningError(ReproError):
     """A stable-hash partitioning primitive was misused.
 
-    Raised by :mod:`repro.partitioning`, the helper shared by tenant
-    sharding (:mod:`repro.sharding`) and structure partitioning
-    (:mod:`repro.distcache`); the two layers wrap it in their own error
-    types at their public boundaries.
+    Raised by :mod:`repro.partitioning`, the stable-hash helper behind
+    structure partitioning (:mod:`repro.distcache`), which wraps it in
+    its own error type at its public boundary.
     """
 
 

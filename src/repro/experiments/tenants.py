@@ -5,12 +5,10 @@ tenant population. Cells are independent — each rebuilds its system,
 population, and registry deterministically from the frozen config — so a
 multi-scheme run fans out over a ``ProcessPoolExecutor`` exactly like the
 figure grids, and the parallel tables are byte-identical to sequential
-ones. With ``shards > 1`` each cell is additionally split into tenant
-shards executed through :mod:`repro.sharding` and merged exactly, which
-is byte-identical too. (The other scaling mode — partitioning the cache
-and provider economy themselves, with explicitly different semantics —
-lives in :mod:`repro.distcache` and is reached through the CLI's
-``--cache-partitions`` or :func:`repro.distcache.run_partitioned_cell`.)
+ones. (Partitioning the cache and provider economy themselves, with
+explicitly different semantics, lives in :mod:`repro.distcache` and is
+reached through the CLI's ``--cache-partitions`` or
+:func:`repro.distcache.run_partitioned_cell`.)
 
 The per-tenant outputs join two sources: the step records (queries, cache
 hits, charges — available for every scheme) and the tenant registry
@@ -280,7 +278,8 @@ def sorted_breakdowns(steps) -> Tuple[TenantBreakdown, ...]:
 
     The ``(-query_count, tenant_id)`` key is a *total* order (ids are
     unique), so any disjoint union of per-tenant breakdowns re-sorts to
-    the same sequence — the property the sharded merge relies on.
+    the same sequence — the property the partitioned merge
+    (:mod:`repro.distcache.merge`) relies on.
     """
     from repro.simulator.metrics import breakdown_by_tenant
 
@@ -293,7 +292,6 @@ def sorted_breakdowns(steps) -> Tuple[TenantBreakdown, ...]:
 
 def run_tenant_experiment(configs: Sequence[TenantExperimentConfig],
                           jobs: Optional[int] = None,
-                          shards: Optional[int] = None,
                           trace=None,
                           metrics=None) -> List[TenantCellResult]:
     """Run many population cells, optionally fanned over worker processes.
@@ -303,20 +301,12 @@ def run_tenant_experiment(configs: Sequence[TenantExperimentConfig],
         jobs: worker processes; ``None`` or 1 runs sequentially. Results
             come back in ``configs`` order either way, and each cell is
             deterministic, so the parallel path is byte-identical.
-        shards: when > 1, each cell is additionally split into this many
-            tenant shards executed through :mod:`repro.sharding` and merged
-            exactly; the merged cells are byte-identical to the unsharded
-            ones. ``jobs`` then sizes the process pool the ``cells x
-            shards`` tasks share.
         trace: optional :class:`~repro.obs.trace.TraceRecorder` the whole
-            experiment records into. Sharded cells run per-shard recorders
-            (merged at the barriers) which are absorbed here; the unsharded
-            traced path runs cells sequentially so records land in one
-            recorder — the cell *results* are identical either way.
+            experiment records into. Traced cells run sequentially so
+            records land in one recorder — the cell *results* are
+            identical either way.
         metrics: optional :class:`~repro.obs.metrics.MetricsTimeseries`
-            handled symmetrically to ``trace`` (per-shard collectors
-            absorbed from the merge reports; observed unsharded cells run
-            sequentially).
+            handled like ``trace`` (observed cells run sequentially).
     """
     cells = list(configs)
     if not cells:
@@ -324,26 +314,6 @@ def run_tenant_experiment(configs: Sequence[TenantExperimentConfig],
     worker_count = 1 if jobs is None else int(jobs)
     if worker_count < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-    shard_count = 1 if shards is None else int(shards)
-    if shard_count < 1:
-        raise ExperimentError(f"shards must be >= 1, got {shards}")
-    if shard_count > 1:
-        # Imported lazily: repro.sharding builds on this module.
-        from repro.sharding import ShardCoordinator
-
-        coordinator = ShardCoordinator(shard_count, max_workers=worker_count,
-                                       trace=trace is not None,
-                                       metrics=metrics is not None)
-        reports = coordinator.run_cells(cells)
-        if trace is not None:
-            for report in reports:
-                if report.trace is not None:
-                    trace.absorb(report.trace)
-        if metrics is not None:
-            for report in reports:
-                if report.metrics is not None:
-                    metrics.absorb(report.metrics)
-        return [report.cell for report in reports]
     if trace is not None or metrics is not None:
         return [run_tenant_cell(config, trace=trace, metrics=metrics)
                 for config in cells]

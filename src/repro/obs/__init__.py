@@ -4,11 +4,11 @@ The subsystem has five layers (see ``docs/observability.md``):
 
 * :mod:`repro.obs.trace` — the :class:`TraceRecorder` and the kernel
   observer, attached through the existing ``run(observers=...)`` hook plus
-  the trace attach points of the engine, cache, batch scheduler, shard
-  workers, and the partitioned runner. The hard invariant: enabling a
-  recorder leaves every table, ledger, and merged report **byte-identical**
-  — recorders are read-only and never touch RNG state or account
-  arithmetic; a disabled component pays one attribute check.
+  the trace attach points of the engine, cache, batch scheduler, and the
+  partitioned runner. The hard invariant: enabling a recorder leaves
+  every table, ledger, and merged report **byte-identical** — recorders
+  are read-only and never touch RNG state or account arithmetic; a
+  disabled component pays one attribute check.
 * :mod:`repro.obs.metrics` — the :class:`MetricsTimeseries` collector,
   sampling engine/cache/economy/batch counters at every settlement
   barrier under the same zero-perturbation contract, emitting sorted
@@ -16,7 +16,7 @@ The subsystem has five layers (see ``docs/observability.md``):
 * :mod:`repro.obs.manifest` — the :class:`RunManifest` serialized next to
   every trace/metrics/report artifact (version, seed, frozen-config hash,
   scheme set, interpreter versions, git sha, mode flags, per-phase
-  wall-clock, optional cProfile hotspots).
+  wall-clock, the process tree's peak RSS, optional cProfile hotspots).
 * :mod:`repro.obs.history` — the append-only bench history store
   (``benchmarks/history/*.jsonl``) and the regression-delta math behind
   ``repro report --baseline``.
@@ -43,6 +43,7 @@ from repro.obs.manifest import (
     RunManifest,
     build_manifest,
     config_hash,
+    peak_rss_bytes,
     profile_hotspots,
 )
 from repro.obs.metrics import (
@@ -81,6 +82,7 @@ __all__ = [
     "RunManifest",
     "build_manifest",
     "config_hash",
+    "peak_rss_bytes",
     "profile_hotspots",
     "HISTORY_SCHEMA_VERSION",
     "HistoryRecord",

@@ -65,9 +65,7 @@ RESULT_FIELDS = frozenset({
 #: direction here fails loudly in :func:`compute_deltas` instead of
 #: silently passing every gate.
 METRIC_DIRECTIONS: Dict[str, Optional[str]] = {
-    "unsharded_queries_per_s": "higher",
     "best_queries_per_s": "higher",
-    "best_speedup_vs_unsharded": "higher",
     "baseline_queries_per_s": "higher",
     # Planner documents recorded while the engine still had a scalar
     # planning mode carry a "scalar" run; reports over them stay valid.
@@ -112,17 +110,7 @@ def history_metrics(document: Mapping[str, object]) -> Dict[str, float]:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             metrics[name] = float(value)
 
-    if kind == "sharding":
-        unsharded = document.get("unsharded")
-        if isinstance(unsharded, Mapping):
-            put("unsharded_queries_per_s", unsharded.get("queries_per_s"))
-        put("best_queries_per_s",
-            max((run.get("queries_per_s", 0.0) for run in runs),
-                default=None))
-        put("best_speedup_vs_unsharded",
-            max((run.get("speedup_vs_unsharded", 0.0) for run in runs),
-                default=None))
-    elif kind == "distcache":
+    if kind == "distcache":
         unsharded = document.get("unsharded")
         if isinstance(unsharded, Mapping):
             put("baseline_queries_per_s", unsharded.get("queries_per_s"))

@@ -76,6 +76,29 @@ def profile_hotspots(profiler: "cProfile.Profile",
     return hotspots
 
 
+def peak_rss_bytes() -> Optional[int]:
+    """The whole process tree's peak resident set size in bytes, or ``None``.
+
+    The larger of ``getrusage``'s ``ru_maxrss`` for ``RUSAGE_SELF`` (this
+    process) and ``RUSAGE_CHILDREN`` (the largest waited-for descendant,
+    e.g. a ``--jobs`` pool worker). Linux reports KiB, macOS bytes;
+    platforms without ``resource`` report nothing. The OS high-water mark
+    is not deterministic across runs, so it belongs in a manifest, never
+    in a byte-pinned artifact.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX platforms
+        return None
+    usage = max(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+    if usage <= 0:  # pragma: no cover - defensive
+        return None
+    if sys.platform == "darwin":  # pragma: no cover - platform-specific
+        return int(usage)
+    return int(usage) * 1024
+
+
 def _numpy_version() -> Optional[str]:
     try:
         import numpy
@@ -97,7 +120,6 @@ class RunManifest:
     platform: str
     numpy_version: Optional[str]
     git_sha: Optional[str]
-    shards: int = 1
     cache_partitions: int = 1
     placement: str = "hash"
     phase_timings_s: Tuple[Tuple[str, float], ...] = ()
@@ -116,7 +138,6 @@ class RunManifest:
             "platform": self.platform,
             "numpy_version": self.numpy_version,
             "git_sha": self.git_sha,
-            "shards": self.shards,
             "cache_partitions": self.cache_partitions,
             "placement": self.placement,
             "phase_timings_s": {name: seconds
@@ -140,7 +161,6 @@ def build_manifest(command: str, *,
                    seed: Optional[int] = None,
                    config: object = None,
                    schemes: Sequence[str] = (),
-                   shards: int = 1,
                    cache_partitions: int = 1,
                    placement: str = "hash",
                    phase_timings_s: Optional[Mapping[str, float]] = None,
@@ -164,7 +184,6 @@ def build_manifest(command: str, *,
         platform=sys.platform,
         numpy_version=_numpy_version(),
         git_sha=_git_sha(),
-        shards=shards,
         cache_partitions=cache_partitions,
         placement=placement,
         phase_timings_s=tuple(sorted(timings.items())),

@@ -14,8 +14,8 @@ recorder surface (``count`` / ``event`` / ``span``), so the engine,
 cache, and batch scheduler feed it through the existing
 ``attach_trace`` hook behind one attribute check; samplers are read-only
 kernel observers that never touch RNG state or account arithmetic; and
-per-shard / per-partition collectors are plain data absorbed at
-barriers exactly like :class:`~repro.obs.trace.TraceRecorder`.
+per-partition collectors are plain data absorbed at barriers exactly
+like :class:`~repro.obs.trace.TraceRecorder`.
 
 When both ``--trace`` and ``--metrics`` are requested, the two sinks are
 fanned out through a :class:`RecorderTee` (components still hold a
@@ -38,7 +38,6 @@ Example:
 from __future__ import annotations
 
 import json
-import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.simulator.events import MaintenanceSettlementEvent, QueryArrivalEvent
@@ -63,8 +62,8 @@ class MetricsTimeseries:
 
     Args:
         source: label stamped on every sample (``"run"`` for the main
-            path, ``"shard3"`` / ``"partition1"`` for per-shard and
-            per-partition collectors merged later).
+            path, ``"partition1"`` for per-partition collectors merged
+            later).
     """
 
     def __init__(self, source: str = "run") -> None:
@@ -175,7 +174,7 @@ class MetricsTimeseries:
         Samples keep their original source tags, so a merged collector
         still emits deterministically; counters merge per source (summed
         only within the same source, mirroring the trace recorder's
-        no-double-counting rule for replicated shard replays).
+        no-double-counting rule).
         """
         self._samples.extend(other._samples)
         for source, bucket in other._counters.items():
@@ -222,26 +221,6 @@ class MetricsTimeseries:
                 handle.write(line + "\n")
 
 
-def peak_rss_bytes() -> Optional[int]:
-    """This process's peak resident set size in bytes, or ``None``.
-
-    Reads ``getrusage(RUSAGE_SELF).ru_maxrss`` — the high-water mark the
-    kernel tracked for the whole process lifetime, which is exactly the
-    quantity the memory-budget CI lane asserts on. Linux reports it in
-    KiB, macOS in bytes; platforms without ``resource`` report nothing.
-    """
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platforms
-        return None
-    usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if usage <= 0:  # pragma: no cover - defensive
-        return None
-    if sys.platform == "darwin":  # pragma: no cover - platform-specific
-        return int(usage)
-    return int(usage) * 1024
-
-
 class MetricsSampler:
     """Read-only settlement observer that drives :meth:`sample`.
 
@@ -256,19 +235,12 @@ class MetricsSampler:
     Args:
         metrics: the collector to drive.
         scheme: the scheme whose components the gauges read.
-        rss: also sample :func:`peak_rss_bytes` at every barrier.
-            Off by default because the OS high-water mark is **not**
-            deterministic across runs — only the shard workers (one
-            process each, whose per-worker memory it audits) enable it,
-            keeping unsharded metrics emission bitwise reproducible.
     """
 
-    def __init__(self, metrics: MetricsTimeseries, scheme,
-                 rss: bool = False) -> None:
+    def __init__(self, metrics: MetricsTimeseries, scheme) -> None:
         self._metrics = metrics
         self._engine = getattr(scheme, "engine", None)
         self._cache = scheme.cache
-        self._rss = rss
 
     def __call__(self, event: MaintenanceSettlementEvent, kernel) -> None:
         gauges: Dict[str, object] = {
@@ -294,18 +266,12 @@ class MetricsSampler:
                     registry, "materialized_tenant_count", None)
                 if materialized is not None:
                     gauges["materialized_tenants"] = materialized()
-        if self._rss:
-            rss = peak_rss_bytes()
-            if rss is not None:
-                gauges["peak_rss_bytes"] = rss
         self._metrics.sample(time_s=event.time_s, final=event.final, **gauges)
 
 
-def metrics_observer_pair(metrics: MetricsTimeseries, scheme,
-                          rss: bool = False):
+def metrics_observer_pair(metrics: MetricsTimeseries, scheme):
     """The ``(event type, handler)`` pair ``run(observers=...)`` expects."""
-    return (MaintenanceSettlementEvent, MetricsSampler(metrics, scheme,
-                                                       rss=rss))
+    return (MaintenanceSettlementEvent, MetricsSampler(metrics, scheme))
 
 
 # -- composing trace + metrics behind one attach point ----------------------
@@ -371,12 +337,11 @@ def metrics_part(recorder) -> Optional[MetricsTimeseries]:
 
 
 def attach_observability(scheme, trace: Optional[TraceRecorder] = None,
-                         metrics: Optional[MetricsTimeseries] = None,
-                         rss: bool = False) -> list:
+                         metrics: Optional[MetricsTimeseries] = None) -> list:
     """Attach recorders to a scheme; return the kernel observers to run.
 
     The one helper every execution path (plain cells, scenario runs,
-    shard workers, shocked cells) uses, so trace and metrics attach
+    partitioned cells, shocked cells) uses, so trace and metrics attach
     identically everywhere: the combined sink lands on the engine (which
     propagates to cache and batch scheduler) or, for the economy-less
     bypass baseline, directly on the cache; a single kernel dispatch
@@ -396,5 +361,5 @@ def attach_observability(scheme, trace: Optional[TraceRecorder] = None,
         scheme.cache.attach_trace(sink)
     observers.append(kernel_observer_pair(sink))
     if metrics is not None:
-        observers.append(metrics_observer_pair(metrics, scheme, rss=rss))
+        observers.append(metrics_observer_pair(metrics, scheme))
     return observers

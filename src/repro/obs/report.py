@@ -1,6 +1,6 @@
 """The ``repro report`` pipeline: versioned JSON + markdown artifacts.
 
-Ingests the repo's perf history — the five checked-in ``BENCH_*.json``
+Ingests the repo's perf history — the four checked-in ``BENCH_*.json``
 files (or freshly produced ones from CI's bench-smoke job) plus any
 ``*.jsonl`` trace artifacts — validates every document against the
 declarative schemas in :mod:`repro.obs.schema`, extracts a per-benchmark
@@ -46,17 +46,15 @@ REPORT_SCHEMA_VERSION = 2
 #: shows (the full per-metric delta list lives in the ``baseline``
 #: section). Names match :data:`repro.obs.history.METRIC_DIRECTIONS`.
 PRIMARY_METRIC: Dict[str, str] = {
-    "sharding": "best_queries_per_s",
     "distcache": "best_queries_per_s",
     "placement": "remote_surcharge_dollars",
     "planner": "batched_cold_queries_per_s",
     "shocks": "clean_queries_per_s",
 }
 
-#: The five benchmark kinds the perf history is expected to cover,
+#: The four benchmark kinds the perf history is expected to cover,
 #: mapped to their canonical checked-in file names.
 BENCH_NAMES: Tuple[Tuple[str, str], ...] = (
-    ("sharding", "BENCH_sharding.json"),
     ("distcache", "BENCH_distcache.json"),
     ("placement", "BENCH_placement.json"),
     ("planner", "BENCH_planner.json"),
@@ -97,7 +95,7 @@ def ingest_bench_files(paths: Sequence[str]) -> List[BenchIngest]:
 
     Every expected benchmark kind yields exactly one :class:`BenchIngest`
     (marked missing when no supplied path covers it), so the summary table
-    always renders all five rows. Unreadable or legacy files are reported
+    always renders all four rows. Unreadable or legacy files are reported
     as problems, never raised.
     """
     by_kind: Dict[str, BenchIngest] = {
@@ -147,11 +145,7 @@ def _headline(ingest: BenchIngest) -> Dict[str, object]:
         gate_name, predicate = gate
         headline["gate"] = gate_name
         headline["gate_ok"] = bool(predicate(data))
-    if ingest.kind == "sharding":
-        best = max((run.get("speedup_vs_unsharded", 0.0) for run in runs),
-                   default=0.0)
-        headline["best_speedup_vs_unsharded"] = best
-    elif ingest.kind == "distcache":
+    if ingest.kind == "distcache":
         best = max((run.get("queries_per_s", 0.0) for run in runs),
                    default=0.0)
         headline["best_queries_per_s"] = best
@@ -186,7 +180,6 @@ def _trace_summary(path: str) -> Dict[str, object]:
     counters = 0
     events = 0
     peak_live: Optional[int] = None
-    peak_rss: Optional[int] = None
     for index, line in enumerate(lines):
         try:
             record = json.loads(line)
@@ -201,15 +194,12 @@ def _trace_summary(path: str) -> Dict[str, object]:
         else:
             events += 1
             if kind == "sample":
-                # Memory-budget gauges sampled at settlement barriers
-                # (tenant runs): report the run-wide maxima so the CI
-                # memory lane can read them off one report field.
+                # Live-tenant gauge sampled at settlement barriers
+                # (tenant runs): report the run-wide maximum so the CI
+                # memory lane can read it off one report field.
                 live = record.get("live_tenants")
                 if isinstance(live, int):
                     peak_live = max(peak_live or 0, live)
-                rss = record.get("peak_rss_bytes")
-                if isinstance(rss, int):
-                    peak_rss = max(peak_rss or 0, rss)
     summary["schema_version"] = header.get("schema_version")
     summary["sources"] = header.get("sources", [])
     summary["events"] = events
@@ -221,8 +211,6 @@ def _trace_summary(path: str) -> Dict[str, object]:
         summary["artifact"] = "metrics"
         if peak_live is not None:
             summary["peak_live_tenants"] = peak_live
-        if peak_rss is not None:
-            summary["peak_rss_bytes"] = peak_rss
         if header.get("schema_version") != METRICS_SCHEMA_VERSION:
             summary["problem"] = (
                 f"metrics schema version {header.get('schema_version')!r} "
@@ -233,7 +221,28 @@ def _trace_summary(path: str) -> Dict[str, object]:
             summary["problem"] = (
                 f"trace schema version {header.get('schema_version')!r} != "
                 f"{TRACE_SCHEMA_VERSION}")
+    peak_rss = _manifest_peak_rss(path)
+    if peak_rss is not None:
+        summary["peak_rss_bytes"] = peak_rss
     return summary
+
+
+def _manifest_peak_rss(path: str) -> Optional[int]:
+    """The process-tree peak RSS the artifact's run manifest recorded.
+
+    The CLI writes it to ``PATH.manifest.json`` (the OS high-water mark
+    is not reproducible, so it stays out of the byte-pinned JSONL).
+    Fail-soft: a missing or unreadable manifest yields ``None``.
+    """
+    try:
+        with open(path + ".manifest.json", "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(manifest, Mapping):
+        return None
+    rss = manifest.get("peak_rss_bytes")
+    return rss if isinstance(rss, int) else None
 
 
 def _baseline_section(ingests: Sequence[BenchIngest],

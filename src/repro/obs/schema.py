@@ -55,12 +55,6 @@ GENERIC_BENCH_FIELDS: Tuple[SchemaField, ...] = (
 
 #: Per-benchmark extra fields (keyed by the ``benchmark`` value).
 BENCH_EXTRA_FIELDS: Dict[str, Tuple[SchemaField, ...]] = {
-    "sharding": (
-        SchemaField("scheme", (str,)),
-        SchemaField("tenant_count", (int,)),
-        SchemaField("query_count", (int,)),
-        SchemaField("unsharded", (dict,)),
-    ),
     "distcache": (
         SchemaField("scheme", (str,)),
         SchemaField("tenant_count", (int,)),
@@ -94,10 +88,6 @@ BENCH_EXTRA_FIELDS: Dict[str, Tuple[SchemaField, ...]] = {
 #: Per-benchmark gate: a predicate over the document that must hold for
 #: the perf history to count as healthy (rendered in the summary table).
 BENCH_GATES: Dict[str, Tuple[str, Callable[[Mapping[str, object]], bool]]] = {
-    "sharding": ("byte_identical",
-                 lambda doc: all(run.get("byte_identical", True)
-                                 for run in doc.get("runs", ())
-                                 if isinstance(run, Mapping))),
     "distcache": ("runs_recorded",
                   lambda doc: bool(doc.get("runs"))),
     "placement": ("handoffs_applied",

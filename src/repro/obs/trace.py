@@ -10,10 +10,9 @@ The hard invariant — enforced by the observer-purity test suite and the CI
 byte-diff — is that attaching recorders changes **nothing** about a run:
 recorders never read or advance RNG state, never touch account arithmetic,
 and only observe values the run computed anyway. Everything a recorder
-stores is plain picklable data, so per-shard recorders travel through
-``ProcessPoolExecutor`` round-trips inside their host objects; per-shard
-and per-partition recorders are merged at the coordinator (alongside the
-settlement checkpoints) with :meth:`TraceRecorder.absorb`.
+stores is plain picklable data; per-partition recorders are merged at
+the barrier loop (alongside the settlement checkpoints) with
+:meth:`TraceRecorder.absorb`.
 
 Emission is deterministic: :meth:`TraceRecorder.jsonl_lines` sorts records
 by ``(time_s, source, sequence)`` and serializes with sorted keys, so the
@@ -50,8 +49,8 @@ class TraceRecorder:
 
     Args:
         source: label stamped on every record this recorder produces
-            (``"run"`` for the main path, ``"shard3"`` / ``"partition1"``
-            for per-worker recorders merged later).
+            (``"run"`` for the main path, ``"partition1"`` for
+            per-partition recorders merged later).
     """
 
     def __init__(self, source: str = "run") -> None:
@@ -107,8 +106,8 @@ class TraceRecorder:
 
         Records keep their original source tag and per-source sequence,
         so a merged recorder still sorts deterministically; counters merge
-        per source (summing only within the same source — per-shard
-        replicated counters are reported per shard, never double-counted).
+        per source (summing only within the same source, so one source's
+        counters are never double-counted into another's).
         """
         self._records.extend(other._records)
         for source, bucket in other._counters.items():
@@ -164,8 +163,7 @@ class KernelTraceObserver:
     last). It counts dispatches per event class and records a
     ``settlement_barrier`` span from the previous barrier (or the first
     observed instant) to each maintenance settlement, tagged with the
-    kernel's query-dispatch progress — the same quantity the sharding
-    layer's :class:`~repro.sharding.worker.SettlementCheckpoint` snapshots.
+    kernel's query-dispatch progress.
     """
 
     def __init__(self, recorder: TraceRecorder) -> None:

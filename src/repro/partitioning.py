@@ -1,14 +1,11 @@
-"""Stable content-hash partitioning, shared by every partitioned layer.
+"""Stable content-hash partitioning of string keys.
 
-Two subsystems split work by hashing string keys onto a fixed number of
-partitions: :mod:`repro.sharding` partitions the *tenant population*
-(``tenant_id -> shard``) and :mod:`repro.distcache` partitions the *cache
-and provider economy* (``structure key -> cache partition``). Both need
-the identical guarantee — the mapping must be a **stable** content hash,
-independent of process, platform, interpreter hash randomisation, and
-insertion order — and they used to implement it separately, which meant
-the two could silently drift. This module is the single implementation
-both build on.
+:mod:`repro.distcache` partitions the *cache and provider economy* by
+hashing each structure key onto a fixed number of partitions
+(``structure key -> cache partition``). The mapping must be a **stable**
+content hash, independent of process, platform, interpreter hash
+randomisation, and insertion order; this module is that one
+implementation.
 
 BLAKE2b (stdlib, keyed to nothing) is used rather than Python's built-in
 ``hash`` precisely because the built-in is salted per process: a salted
@@ -19,8 +16,7 @@ The hash is the *fallback*, not necessarily the last word: the distcache
 layer's :class:`~repro.distcache.partition.StructurePartitioner` consults
 its ownership-override table (populated by adaptive-placement handoffs,
 :mod:`repro.distcache.placement`) before falling back to
-:func:`partition_index`. Tenant sharding has no such table — tenant
-ownership is always the pure hash.
+:func:`partition_index`.
 
 Example:
     >>> stable_key_hash("column:lineitem.l_quantity") % 4 in range(4)
@@ -72,9 +68,8 @@ def stable_key_hash(key: str) -> int:
 def partition_index(key: str, partition_count: int) -> int:
     """The partition that owns ``key`` out of ``partition_count`` partitions.
 
-    This is the one shared formula — ``stable_key_hash(key) % count`` —
-    that tenant sharding and structure partitioning must agree on; both
-    call it rather than re-deriving it, so they cannot drift.
+    This is the one formula — ``stable_key_hash(key) % count`` — every
+    partitioner calls rather than re-deriving it, so they cannot drift.
 
     Args:
         key: the (non-empty) key to place.

@@ -136,8 +136,8 @@ def _drive(schemes: Sequence[CachingScheme], config: SimulationConfig,
 
     # Observers register last: registration order is dispatch order, so an
     # observer of a settlement event always sees fully settled state. They
-    # must be read-only — the sharding layer's determinism barrier relies
-    # on observed runs being bitwise identical to unobserved ones.
+    # must be read-only — the zero-perturbation contract of repro.obs
+    # relies on observed runs being bitwise identical to unobserved ones.
     for event_type, handler in observers:
         kernel.register(event_type, handler)
 
@@ -293,7 +293,7 @@ class CloudSimulation:
                 :class:`~repro.simulator.events.TenantChurnEvent`.
             observers: optional ``(event type, handler)`` pairs registered
                 on the kernel after all built-in handlers; read-only hooks
-                used e.g. by :mod:`repro.sharding` to snapshot state at
+                used e.g. by :mod:`repro.obs` to sample state at
                 settlement boundaries.
             shock_events: optional market-shock events (see
                 :mod:`repro.workload.grammar`) injected into the run —

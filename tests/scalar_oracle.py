@@ -12,7 +12,7 @@ model directly, never memoized. The engine's floats must equal the
 oracle's exactly.
 
 Use :class:`ScalarOracleEngine` where a test builds engines itself, and
-:func:`oracle_planning` to plan every engine of a whole-cell run (sharded
+:func:`oracle_planning` to plan every engine of a whole-cell run (plain
 or partitioned) through the oracle.
 """
 

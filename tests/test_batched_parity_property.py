@@ -4,8 +4,8 @@ Hypothesis draws workload shapes (template mix via seed, batch sizes,
 inter-arrival times), enumerator configurations, and settlement grids;
 for each draw the engine's outcome stream, account ledger, and regret
 totals must equal those of the scalar oracle (``scalar_oracle.py``) —
-``==`` on floats, no tolerances. Separate properties cover the
-tenant-sharded and cache-partitioned execution modes end to end.
+``==`` on floats, no tolerances. Separate properties cover whole
+population cells and the cache-partitioned execution mode end to end.
 """
 
 import pytest
@@ -139,20 +139,19 @@ def test_mid_run_invalidation_stays_bitwise_equal(
 
 
 @settings(max_examples=5, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=255),
-    shards=st.integers(min_value=2, max_value=4),
-)
-def test_sharded_cells_bitwise_equal(seed, shards):
-    from repro.experiments.tenants import TenantExperimentConfig
-    from repro.sharding.coordinator import ShardCoordinator
+@given(seed=st.integers(min_value=0, max_value=255))
+def test_tenant_cells_bitwise_equal(seed):
+    from repro.experiments.tenants import (
+        TenantExperimentConfig,
+        run_tenant_cell,
+    )
 
     config = TenantExperimentConfig(
         scheme="econ-cheap", tenant_count=12, query_count=40,
         interarrival_s=1.0, seed=seed, settlement_period_s=15.0)
 
     def cell():
-        return ShardCoordinator(shard_count=shards).run_cell(config).cell
+        return run_tenant_cell(config)
 
     with oracle_planning() as calls:
         oracle = cell()

@@ -89,7 +89,7 @@ class TestCommands:
         assert parallel == sequential
 
     def test_invalid_values_report_cleanly(self, capsys):
-        # --jobs / --shards are validated by argparse itself now: exit
+        # --jobs is validated by argparse itself now: exit
         # code 2 with an "argument --jobs: ..." line, no traceback.
         with pytest.raises(SystemExit) as excinfo:
             main(["figure4", "--jobs", "0"])
@@ -110,7 +110,31 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --planning" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--jobs", "--shards"])
+    @pytest.mark.parametrize("command", ["tenants", "shocks"])
+    def test_shards_flag_is_gone(self, capsys, command):
+        # --jobs across independent cells is the one way to use more
+        # cores; the replicated-replay --shards mode is rejected.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--shards", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
+
+    def test_sharding_library_surface_is_gone(self):
+        import importlib
+
+        from repro.experiments.tenants import (
+            TenantExperimentConfig,
+            run_tenant_experiment,
+        )
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.sharding")
+        with pytest.raises(TypeError):
+            run_tenant_experiment(
+                [TenantExperimentConfig(tenant_count=4, query_count=10)],
+                shards=2)
+
+    @pytest.mark.parametrize("flag", ["--jobs"])
     @pytest.mark.parametrize("value", ["0", "-2", "four"])
     def test_tenants_rejects_invalid_worker_counts(self, capsys, flag, value):
         with pytest.raises(SystemExit) as excinfo:
@@ -127,35 +151,6 @@ class TestCommands:
         assert "Scenario - bursty x bypass" in output
         assert "phase changes" in output
         assert "operating_cost" in output
-
-
-class TestShardedTenantsCli:
-    ARGS = ["tenants", "--n-tenants", "10", "--queries", "40",
-            "--schemes", "econ-cheap", "--top", "3"]
-
-    def test_sharded_output_is_byte_identical(self, capsys):
-        assert main(self.ARGS) == 0
-        unsharded = capsys.readouterr().out
-        assert main(self.ARGS + ["--shards", "2"]) == 0
-        sharded = capsys.readouterr().out
-        assert sharded == unsharded
-        assert main(self.ARGS + ["--shards", "4", "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == unsharded
-
-    def test_imbalance_warning_on_stderr(self, capsys):
-        assert main(["tenants", "--n-tenants", "3", "--queries", "12",
-                     "--schemes", "econ-cheap", "--shards", "5"]) == 0
-        captured = capsys.readouterr()
-        assert captured.err.count("warning:") == 1
-        assert "exceeds the tenant count" in captured.err
-        assert "Tenants - econ-cheap x 3 tenants" in captured.out
-
-    def test_settlement_period_flows_through(self, capsys):
-        extra = ["--settlement-period", "5.0"]
-        assert main(self.ARGS + extra) == 0
-        unsharded = capsys.readouterr().out
-        assert main(self.ARGS + extra + ["--shards", "2"]) == 0
-        assert capsys.readouterr().out == unsharded
 
 
 class TestPartitionedTenantsCli:
@@ -192,13 +187,6 @@ class TestPartitionedTenantsCli:
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert "argument --cache-partitions:" in captured.err
-        assert "Traceback" not in captured.err
-
-    def test_partitions_and_shards_are_exclusive(self, capsys):
-        assert main(self.ARGS + ["--cache-partitions", "2",
-                                 "--shards", "2"]) == 2
-        captured = capsys.readouterr()
-        assert "alternative scaling modes" in captured.err
         assert "Traceback" not in captured.err
 
     def test_imbalance_warning_on_stderr(self, capsys):

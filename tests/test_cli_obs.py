@@ -56,9 +56,9 @@ class TestTraceValidation:
 
 
 class TestTracedRunsAreByteIdentical:
-    def test_tenants_sharded(self, tmp_path, capsys):
-        """The acceptance pin: tenants --shards 2 --trace vs untraced."""
-        argv = TENANTS_ARGS + ["--shards", "2"]
+    def test_tenants(self, tmp_path, capsys):
+        """The acceptance pin: tenants --trace vs untraced."""
+        argv = TENANTS_ARGS[:]
         code, untraced, _ = _run(capsys, argv)
         assert code == 0
         trace_path = tmp_path / "t.jsonl"
@@ -68,11 +68,11 @@ class TestTracedRunsAreByteIdentical:
         lines = trace_path.read_text().splitlines()
         header = json.loads(lines[0])
         assert header["kind"] == "trace_header"
-        assert header["sources"] == ["shard0", "shard1"]
+        assert header["sources"] == ["run"]
         manifest = json.loads(
             (tmp_path / "t.jsonl.manifest.json").read_text())
         assert manifest["version"] == repro.__version__
-        assert manifest["shards"] == 2
+        assert "shards" not in manifest
         assert manifest["command"] == "tenants"
         assert set(manifest["phase_timings_s"]) == {"run", "emit_trace"}
 
@@ -126,9 +126,9 @@ class TestMetricsValidation:
 
 
 class TestMetricsRunsAreByteIdentical:
-    def test_tenants_sharded_metrics(self, tmp_path, capsys):
-        """The acceptance pin: tenants --shards 2 --metrics vs plain."""
-        argv = TENANTS_ARGS + ["--shards", "2"]
+    def test_tenants_metrics(self, tmp_path, capsys):
+        """The acceptance pin: tenants --metrics vs plain."""
+        argv = TENANTS_ARGS[:]
         code, plain, _ = _run(capsys, argv)
         assert code == 0
         metrics_path = tmp_path / "m.jsonl"
@@ -139,16 +139,41 @@ class TestMetricsRunsAreByteIdentical:
         lines = metrics_path.read_text().splitlines()
         header = json.loads(lines[0])
         assert header["kind"] == "metrics_header"
-        assert header["sources"] == ["shard0", "shard1"]
+        assert header["sources"] == ["run"]
         samples = [json.loads(line) for line in lines[1:]
                    if json.loads(line)["kind"] == "sample"]
         assert samples and all("counters" in s for s in samples)
         manifest = json.loads(
             (tmp_path / "m.jsonl.manifest.json").read_text())
         assert manifest["command"] == "tenants"
-        assert manifest["shards"] == 2
         assert manifest["metrics_samples"] == len(samples)
         assert set(manifest["phase_timings_s"]) == {"run", "emit_metrics"}
+
+    def test_peak_rss_lands_in_the_manifest_not_the_samples(self, tmp_path,
+                                                            capsys):
+        # The OS high-water mark is not reproducible: the manifest
+        # carries it, and the metrics JSONL stays byte-identical run to
+        # run (no sample gauges it).
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        for path in (first, second):
+            code, _, _ = _run(capsys, TENANTS_ARGS + ["--metrics", str(path)])
+            assert code == 0
+        assert first.read_bytes() == second.read_bytes()
+        assert b"peak_rss_bytes" not in first.read_bytes()
+        manifest = json.loads(
+            (tmp_path / "a.jsonl.manifest.json").read_text())
+        assert isinstance(manifest["peak_rss_bytes"], int)
+        assert manifest["peak_rss_bytes"] > 0
+        # repro report reads it back from the manifest.
+        code, out, _ = _run(capsys, ["report", "--out",
+                                     str(tmp_path / "artifacts"),
+                                     str(first)])
+        assert code == 0
+        report = json.loads(
+            (tmp_path / "artifacts" / "report.json").read_text())
+        (summary,) = report["traces"]
+        assert summary["peak_rss_bytes"] == manifest["peak_rss_bytes"]
+        assert "peak RSS" in out
 
     def test_trace_metrics_and_profile_together(self, tmp_path, capsys):
         argv = TENANTS_ARGS[:]
@@ -206,9 +231,8 @@ class TestReportCommand:
         repo_root = os.path.dirname(
             os.path.dirname(os.path.abspath(__file__)))
         bench = [os.path.join(repo_root, name) for name in (
-            "BENCH_sharding.json", "BENCH_distcache.json",
-            "BENCH_placement.json", "BENCH_planner.json",
-            "BENCH_shocks.json")]
+            "BENCH_distcache.json", "BENCH_placement.json",
+            "BENCH_planner.json", "BENCH_shocks.json")]
         if not all(os.path.exists(path) for path in bench):
             pytest.skip("checked-in bench files not present")
         out_dir = tmp_path / "artifacts"
@@ -224,16 +248,16 @@ class TestReportCommand:
         from repro.obs.history import append_bench_history
 
         doc = {
-            "benchmark": "sharding", "python": "3.11.0", "seed": 0,
-            "scheme": "econ-cheap", "tenant_count": 10, "query_count": 50,
-            "unsharded": {"queries_per_s": 1000.0},
-            "runs": [{"shards": 2, "queries_per_s": 1600.0,
-                      "speedup_vs_unsharded": 1.6,
-                      "byte_identical": True}],
+            "benchmark": "planner", "python": "3.11.0", "seed": 0,
+            "scheme": "econ-cheap", "query_count": 50, "repetitions": 1,
+            "outcomes_identical": True,
+            "speedup": {"batched_warm_vs_cold": 1.1},
+            "runs": [{"benchmark_mode": "batched-cold",
+                      "queries_per_s": 1000.0}],
         }
         history = tmp_path / "history"
         append_bench_history(doc, str(history), git_sha="abc")
-        bench = tmp_path / "BENCH_sharding.json"
+        bench = tmp_path / "BENCH_planner.json"
         bench.write_text(json.dumps(doc))
         out_dir = tmp_path / "artifacts"
         code, out, _ = _run(capsys, ["report", str(bench),

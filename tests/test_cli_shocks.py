@@ -20,7 +20,6 @@ class TestParser:
         assert args.shock == []
         assert args.query_class == []
         assert args.strict_maintenance is False
-        assert args.shards == 1
         assert args.cache_partitions == 1
         assert args.placement == "hash"
 
@@ -103,11 +102,6 @@ class TestShocksCommand:
 
 
 class TestShocksScalingModes:
-    def test_sharded_rerun_is_audited_byte_identical(self, capsys):
-        assert main(ARGS + ["--shards", "2"]) == 0
-        output = capsys.readouterr().out
-        assert "econ-cheap: --shards 2 byte-identical under shocks" in output
-
     def test_partitioned_rerun_audits_every_barrier(self, capsys):
         assert main(ARGS + ["--cache-partitions", "2"]) == 0
         output = capsys.readouterr().out
@@ -150,12 +144,6 @@ class TestShocksScalingModes:
         assert "bypass: partitioned rerun skipped (no economy)" in output
         assert "conservation: exact across 2 partitions" in output
 
-    def test_partitions_and_shards_are_exclusive(self, capsys):
-        assert main(ARGS + ["--cache-partitions", "2", "--shards", "2"]) == 2
-        captured = capsys.readouterr()
-        assert "alternative scaling modes" in captured.err
-        assert "Traceback" not in captured.err
-
     def test_adaptive_requires_partitions(self, capsys):
         assert main(ARGS + ["--placement", "adaptive"]) == 2
         captured = capsys.readouterr()
@@ -189,7 +177,7 @@ class TestScenarioShocks:
 
 
 class TestTenantsShocks:
-    def test_tenants_accepts_shocks_and_stays_shard_identical(self, capsys):
+    def test_tenants_accepts_shocks(self, capsys):
         args = ["tenants", "--n-tenants", "8", "--queries", "30",
                 "--schemes", "econ-cheap", "--top", "3",
                 "--shock", "invalidate@0.5:index",
@@ -197,5 +185,5 @@ class TestTenantsShocks:
         assert main(args) == 0
         plain = capsys.readouterr().out
         assert "Tenants - econ-cheap x 8 tenants" in plain
-        assert main(args + ["--shards", "2"]) == 0
+        assert main(args) == 0
         assert capsys.readouterr().out == plain

@@ -101,6 +101,17 @@ class TestTenantRegistry:
         assert registry.state("poor").account.credit == pytest.approx(-3.0)
         assert registry.total_charged() == pytest.approx(4.0)
 
+    def test_zero_charge_registers_nobody(self):
+        # A zero charge returns before auto-registration, so an unknown
+        # tenant first touched by a free query takes its wallet slot (and
+        # its place in credit_by_tenant order) at its first paid query.
+        registry = TenantRegistry()
+        registry.charge("zeta", 0.0, now=1.0)
+        assert "zeta" not in registry
+        registry.charge("alpha", 1.0, now=1.0)
+        registry.charge("zeta", 1.0, now=2.0)
+        assert list(registry.credit_by_tenant()) == ["alpha", "zeta"]
+
     def test_budget_multiplier_scales_budget(self, sample_query):
         from dataclasses import replace
 

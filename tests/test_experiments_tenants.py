@@ -10,9 +10,11 @@ from repro.experiments.tenants import (
     build_population,
     run_tenant_cell,
     run_tenant_experiment,
+    sorted_breakdowns,
     tenant_aggregate_table,
     top_tenant_table,
 )
+from repro.policies.base import SchemeStep
 
 QUICK = dict(tenant_count=12, query_count=60, interarrival_s=1.0, seed=0)
 
@@ -76,6 +78,36 @@ class TestParallelism:
     def test_empty_config_list_rejected(self):
         with pytest.raises(ExperimentError):
             run_tenant_experiment([])
+
+
+def _step(query_id, tenant_id, charge):
+    return SchemeStep(
+        query_id=query_id, template_name="t", arrival_time_s=float(query_id),
+        response_time_s=0.1, served_in_cache=query_id % 2 == 0,
+        plan_label="cache", execution_cpu_dollars=0.1,
+        execution_io_dollars=0.1, execution_network_dollars=0.0,
+        build_dollars=0.0, network_bytes=10.0, charge=charge, profit=0.2,
+        builds=0, evictions=0, eviction_losses=0.0, tenant_id=tenant_id,
+    )
+
+
+class TestSortedBreakdowns:
+    def test_total_order_survives_any_disjoint_split(self):
+        # The partitioned merge (repro.distcache.merge) re-sorts the union
+        # of per-partition breakdowns; (-queries, id) is a total order, so
+        # any split by tenant lands on the unsplit sequence.
+        tenants = ["t3", "t2", "t1", "t2", "t0", "t3", "t1", "t2"]
+        steps = [_step(index, tenant_id, 0.5 + index / 7.0)
+                 for index, tenant_id in enumerate(tenants)]
+        whole = sorted_breakdowns(steps)
+        assert [item.tenant_id for item in whole] == ["t2", "t1", "t3", "t0"]
+        left = [step for step in steps if step.tenant_id in ("t0", "t3")]
+        right = [step for step in steps if step.tenant_id in ("t1", "t2")]
+        assert sorted_breakdowns(right + left) == whole
+        union = sorted_breakdowns(left) + sorted_breakdowns(right)
+        assert tuple(sorted(
+            union, key=lambda item: (-item.query_count, item.tenant_id))) \
+            == whole
 
 
 class TestTables:

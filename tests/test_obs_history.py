@@ -67,8 +67,8 @@ class TestHistoryMetrics:
         """The failure mode METRIC_DIRECTIONS exists to prevent: a metric
         extracted for gating with no declared better-direction."""
         paths = [os.path.join(REPO_ROOT, f"BENCH_{kind}.json")
-                 for kind in ("sharding", "distcache", "placement",
-                              "planner", "shocks")]
+                 for kind in ("distcache", "placement", "planner",
+                              "shocks")]
         if not all(os.path.exists(path) for path in paths):
             pytest.skip("checked-in bench files not present")
         for path in paths:

@@ -33,13 +33,14 @@ class TestBuildManifest:
 
     def test_collects_mode_flags_and_timings(self):
         manifest = build_manifest(
-            "tenants", shards=2, cache_partitions=1,
+            "tenants", cache_partitions=2,
             placement="hash",
             phase_timings_s={"run": 1.25, "emit_trace": 0.01},
         )
         payload = manifest.to_dict()
-        assert payload["shards"] == 2
+        assert payload["cache_partitions"] == 2
         assert "planning" not in payload
+        assert "shards" not in payload
         assert payload["phase_timings_s"] == {"run": 1.25, "emit_trace": 0.01}
         assert payload["manifest_version"] == 1
 

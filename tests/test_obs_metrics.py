@@ -79,13 +79,13 @@ class TestAbsorb:
     def test_absorb_keeps_source_tags_and_sums_per_source(self):
         merged = MetricsTimeseries(source="merge")
         for index in range(2):
-            shard = MetricsTimeseries(source=f"shard{index}")
-            shard.count("engine:queries", 60)
-            shard.sample(time_s=60.0)
-            merged.absorb(shard)
-        assert sorted(merged.counters) == ["shard0", "shard1"]
+            part = MetricsTimeseries(source=f"partition{index}")
+            part.count("engine:queries", 60)
+            part.sample(time_s=60.0)
+            merged.absorb(part)
+        assert sorted(merged.counters) == ["partition0", "partition1"]
         # Replicated replays must not double-count across sources.
-        assert merged.counter("engine:queries", source="shard0") == 60
+        assert merged.counter("engine:queries", source="partition0") == 60
         assert len(merged.samples) == 2
 
     def test_absorbed_emission_is_sorted_and_deterministic(self):

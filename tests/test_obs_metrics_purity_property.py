@@ -4,10 +4,9 @@ The metrics twin of ``test_obs_purity_property.py``: attaching a
 :class:`MetricsTimeseries` (alone or teed with a trace recorder) to any
 execution path leaves every rendered table, wallet ledger, and merged
 report **byte-identical** to the unobserved run. Hypothesis sweeps drawn
-cell shapes; pinned integration cases cover the scaling modes the issue
-calls out — ``--shards 2`` and ``--cache-partitions 2 --placement
-adaptive`` — which are too slow to sweep
-per-example.
+cell shapes; a pinned integration case covers
+``--cache-partitions 2 --placement adaptive``, which is too slow to
+sweep per-example.
 """
 
 import pytest
@@ -20,7 +19,6 @@ from hypothesis import strategies as st
 from repro.experiments.tenants import (
     TenantExperimentConfig,
     run_tenant_cell,
-    run_tenant_experiment,
     tenant_aggregate_table,
     top_tenant_table,
 )
@@ -103,26 +101,6 @@ class TestMetricsModesPurity:
 
     CONFIG = dict(tenant_count=6, query_count=60, seed=3,
                   settlement_period_s=60.0)
-
-    def test_sharded_metrics_run_is_byte_identical(self):
-        config = TenantExperimentConfig(scheme="econ-cheap", **self.CONFIG)
-        plain = run_tenant_experiment([config], shards=2)
-        metrics = MetricsTimeseries()
-        observed = run_tenant_experiment([config], shards=2, metrics=metrics)
-        assert _rendered(observed[0]) == _rendered(plain[0])
-        assert set(metrics.counters) == {"shard0", "shard1"}
-        # Replicated replay: every shard sampled every barrier.
-        sources = {s["source"] for s in metrics.samples}
-        assert sources == {"shard0", "shard1"}
-        for source in sources:
-            assert metrics.counter("engine:queries", source=source) == 60
-
-    def test_sharded_metrics_run_matches_unsharded(self):
-        config = TenantExperimentConfig(scheme="econ-cheap", **self.CONFIG)
-        unsharded = run_tenant_cell(config)
-        metrics = MetricsTimeseries()
-        observed = run_tenant_experiment([config], shards=2, metrics=metrics)
-        assert _rendered(observed[0]) == _rendered(unsharded)
 
     def test_partitioned_adaptive_metrics_run_is_byte_identical(self):
         from repro.distcache.runner import run_partitioned_experiment

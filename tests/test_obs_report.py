@@ -16,7 +16,7 @@ from repro.obs.schema import validate_bench, validate_report
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: The five checked-in perf-history files (the backfill satellite).
+#: The four checked-in perf-history files (the backfill satellite).
 CHECKED_IN = [os.path.join(REPO_ROOT, name) for _, name in BENCH_NAMES]
 
 
@@ -65,7 +65,7 @@ class TestValidateBench:
 
 
 class TestIngest:
-    def test_always_covers_all_five_kinds(self, tmp_path):
+    def test_always_covers_every_kind(self, tmp_path):
         ingests = ingest_bench_files([])
         assert [ingest.kind for ingest in ingests] == [
             kind for kind, _ in BENCH_NAMES]

@@ -14,12 +14,12 @@ from repro.simulator.events import Event, MaintenanceSettlementEvent
 
 class TestRecording:
     def test_counters_bucket_by_source(self):
-        recorder = TraceRecorder(source="shard0")
+        recorder = TraceRecorder(source="partition0")
         recorder.count("cache:admit")
         recorder.count("cache:admit", 2)
         assert recorder.counter("cache:admit") == 3
-        assert recorder.counter("cache:admit", source="shard1") == 0
-        assert recorder.counters == {"shard0": {"cache:admit": 3}}
+        assert recorder.counter("cache:admit", source="partition1") == 0
+        assert recorder.counters == {"partition0": {"cache:admit": 3}}
 
     def test_events_keep_append_order_and_source(self):
         recorder = TraceRecorder(source="run")
@@ -41,15 +41,15 @@ class TestRecording:
 class TestAbsorb:
     def test_absorb_preserves_source_tags_and_counters(self):
         merged = TraceRecorder(source="merge")
-        for shard in range(2):
-            recorder = TraceRecorder(source=f"shard{shard}")
+        for index in range(2):
+            recorder = TraceRecorder(source=f"partition{index}")
             recorder.count("engine:queries", 5)
             recorder.event("settlement_barrier", time_s=60.0)
             merged.absorb(recorder)
         assert len(merged) == 2
-        assert merged.counter("engine:queries", source="shard0") == 5
-        assert merged.counter("engine:queries", source="shard1") == 5
-        # Replicated per-shard counters are never summed across sources.
+        assert merged.counter("engine:queries", source="partition0") == 5
+        assert merged.counter("engine:queries", source="partition1") == 5
+        # Per-source counters are never summed across sources.
         assert "merge" not in merged.counters
 
     def test_absorb_sums_within_same_source(self):
@@ -98,7 +98,7 @@ class TestEmission:
         assert json.loads(lines[0])["events"] == 1
 
     def test_recorder_pickles(self):
-        recorder = TraceRecorder(source="shard1")
+        recorder = TraceRecorder(source="partition1")
         recorder.count("cache:admit")
         recorder.event("e", time_s=5.0)
         clone = pickle.loads(pickle.dumps(recorder))

@@ -1,10 +1,9 @@
 """Byte pins on CLI output: stdout digests recorded before the planner merge.
 
 ``data/stdout_digests.json`` holds the SHA-256 of the stdout of a few CLI
-runs — the headline claims, the tenants tables (plain, and the churning
-fidelity config unsharded and over two shards), the shocks report over
-every scheme, and the shocks report rerun over two cache partitions with
-hash and adaptive placement. Most digests were recorded while the engine
+runs — the headline claims, the tenants tables (plain, and a churning
+fidelity config), the shocks report over every scheme, and the shocks
+report rerun over two cache partitions with hash and adaptive placement. Most digests were recorded while the engine
 still had a separate scalar planning path, and the fidelity and
 all-scheme shocks digests while population cells still had an eager
 (materialise-then-replay) arrival path, which was the default then; they

@@ -1,8 +1,8 @@
-"""Tests for the shared stable-hash partitioning helper.
+"""Tests for the stable-hash partitioning helper.
 
-The point of :mod:`repro.partitioning` is that tenant sharding and
-structure partitioning use one hash formula; the drift tests pin that
-both layers actually delegate to it.
+The point of :mod:`repro.partitioning` is one process-independent hash
+formula; the drift test pins that the structure partitioner actually
+delegates to it.
 """
 
 import pytest
@@ -10,7 +10,6 @@ import pytest
 from repro.distcache import StructurePartitioner
 from repro.errors import PartitioningError
 from repro.partitioning import partition_index, stable_key_hash
-from repro.sharding import TenantPartitioner, stable_tenant_hash
 
 
 class TestStableKeyHash:
@@ -37,6 +36,25 @@ class TestStableKeyHash:
         with pytest.raises(PartitioningError):
             stable_key_hash("")
 
+    def test_survives_process_boundary(self):
+        # blake2b, not the salted builtin: a subprocess must agree.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        expected = stable_key_hash("t00042")
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.partitioning import stable_key_hash;"
+             "print(stable_key_hash('t00042'))"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert int(out.stdout.strip()) == expected
+
 
 class TestPartitionIndex:
     def test_in_range(self):
@@ -57,27 +75,10 @@ class TestPartitionIndex:
 
 
 class TestLayersCannotDrift:
-    """Both partitioners must agree with the shared formula, key by key."""
-
-    def test_tenant_partitioner_delegates(self):
-        partitioner = TenantPartitioner(shard_count=5)
-        for i in range(50):
-            tenant_id = f"t{i:05d}"
-            assert partitioner.shard_of(tenant_id) == partition_index(
-                tenant_id, 5)
+    """The structure partitioner agrees with the formula, key by key."""
 
     def test_structure_partitioner_delegates(self):
         partitioner = StructurePartitioner(partition_count=5)
         for i in range(50):
             key = f"column:lineitem.c{i}"
             assert partitioner.partition_of(key) == partition_index(key, 5)
-
-    def test_same_key_same_slot_across_layers(self):
-        """A string placed by both layers lands identically — the one
-        shared hash, not two look-alikes."""
-        for key in ("shared-key", "t00001", "index:lineitem(l_shipdate)"):
-            assert (TenantPartitioner(8).shard_of(key)
-                    == StructurePartitioner(8).partition_of(key))
-
-    def test_stable_tenant_hash_delegates(self):
-        assert stable_tenant_hash("bob") == stable_key_hash("bob")

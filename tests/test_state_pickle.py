@@ -1,30 +1,21 @@
-"""Picklability audit of everything that crosses a shard process boundary.
+"""Picklability audit of what crosses a ``--jobs`` process boundary.
 
-The sharding subsystem ships :class:`ShardTask` out and
-:class:`ShardResult` back through a ``ProcessPoolExecutor``; the economy
-and metrics state it summarises (registries, accounts, regret trackers,
-collectors) must also round-trip through ``pickle`` so future transports
-(checkpointing, remote workers) don't hit lambdas or local classes hiding
-in state. These are regression tests for that contract.
+``run_tenant_experiment`` ships each frozen cell config out to a
+``ProcessPoolExecutor`` worker and the cell result back; the economy and
+metrics state behind those results (registries, accounts, regret
+trackers, collectors) must also round-trip through ``pickle`` so future
+transports (checkpointing, remote workers) don't hit lambdas or local
+classes hiding in state. These are regression tests for that contract.
 """
 
 import pickle
-
-import pytest
 
 from repro.economy.account import CloudAccount
 from repro.economy.regret import RegretTracker
 from repro.economy.tenancy import TenantProfile, TenantRegistry
 from repro.economy.user_model import UserModel
-from repro.experiments.tenants import TenantExperimentConfig
+from repro.experiments.tenants import TenantExperimentConfig, run_tenant_cell
 from repro.policies.base import SchemeStep
-from repro.sharding import (
-    SettlementCheckpoint,
-    ShardScopedRegistry,
-    ShardTask,
-    TenantPartitioner,
-    run_shard,
-)
 from repro.simulator.metrics import MetricsCollector
 from repro.structures.cached_column import CachedColumn
 
@@ -65,17 +56,6 @@ class TestEconomyStatePickles:
         assert clone.total_charged() == registry.total_charged()
         assert clone.state("bob").profile.budget_multiplier == 2.0
 
-    def test_shard_scoped_registry(self):
-        profiles = tuple(TenantProfile(f"t{i:05d}", initial_credit=3.0)
-                         for i in range(6))
-        registry = ShardScopedRegistry(profiles, TenantPartitioner(2), 0)
-        for profile in profiles:
-            registry.charge(profile.tenant_id, 1.0, now=0.5)
-        clone = roundtrip(registry)
-        assert clone.owned_wallets() == registry.owned_wallets()
-        assert clone.foreign_charged == registry.foreign_charged
-        assert clone.shard_index == 0
-
 
 class TestMetricsStatePickles:
     def test_collector_with_steps_and_maintenance(self):
@@ -95,27 +75,11 @@ class TestMetricsStatePickles:
         assert clone.summary() == collector.summary()
 
 
-class TestShardTransportPickles:
-    def test_task_and_result_roundtrip(self):
+class TestCellTransportPickles:
+    def test_cell_config_and_result_roundtrip(self):
         config = TenantExperimentConfig(
             scheme="econ-cheap", tenant_count=6, query_count=20,
             interarrival_s=1.0, seed=1)
-        task = roundtrip(ShardTask(config, shard_index=1, shard_count=2))
-        assert task.config == config
-        result = run_shard(task)
-        clone = roundtrip(result)
-        assert clone == result
-
-    def test_checkpoint_roundtrip(self):
-        point = SettlementCheckpoint(
-            time_s=10.0, queries_dispatched=7, provider_credit=3.0,
-            provider_query_payments=2.0, owned_wallet_credit=1.0,
-            owned_charged=0.5)
-        assert roundtrip(point) == point
-
-    def test_partitioner_roundtrip_preserves_assignment(self):
-        partitioner = TenantPartitioner(5)
-        clone = roundtrip(partitioner)
-        ids = [f"t{i:05d}" for i in range(40)]
-        assert [clone.shard_of(t) for t in ids] == \
-            [partitioner.shard_of(t) for t in ids]
+        assert roundtrip(config) == config
+        result = run_tenant_cell(config)
+        assert roundtrip(result) == result

@@ -3,7 +3,7 @@
 Every population cell runs on streamed arrivals over a generative tenant
 registry. Pins the two contracts that path rests on:
 
-* **fidelity** — streamed cells (and sharded runs) are byte-identical to
+* **fidelity** — streamed cells are byte-identical to
   the eager oracle (``tests/eager_oracle.py``: materialise the populated
   workload, register every profile up front, replay the list) over the
   same config, including when the lookahead-primed planning window
@@ -41,7 +41,6 @@ from repro.experiments.tenants import (
     tenant_aggregate_table,
     top_tenant_table,
 )
-from repro.sharding import ShardScopedRegistry, TenantPartitioner
 from repro.simulator import streaming
 from repro.simulator.streaming import StreamingArrivalSource
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
@@ -326,9 +325,9 @@ class TestGenerativeTenantRegistry:
 
 
     def test_minting_formats_ids_only_for_ownership(self, monkeypatch):
-        # Minting must not format an id per index when no ownership
-        # predicate asks for one, and must leave len() and the wallets
-        # exactly what the eager registry reports.
+        # Minting must not format an id per index (nothing asks for one),
+        # and must leave len() and the wallets exactly what the eager
+        # registry reports.
         from repro.economy import tenancy
 
         formatted = []
@@ -349,81 +348,11 @@ class TestGenerativeTenantRegistry:
         assert len(registry) == len(eager) == 40
         assert registry.credit_by_tenant() == eager.credit_by_tenant()
 
-        partitioner = TenantPartitioner(2)
-        owned = GenerativeTenantRegistry(
-            source, owns=lambda index, tenant_id: partitioner.owns(
-                0, tenant_id))
-        owned.activate(tenant_id_for(39), now=0.0)
-        expected = [(tenant_id_for(i), source.initial_credit_for(i))
-                    for i in range(40)
-                    if partitioner.owns(0, tenant_id_for(i))]
-        assert len(owned) == len(expected)
-        assert list(owned.credit_by_tenant().items()) == expected
-
 
 def _probe_query(tenant_id: str) -> Query:
     return Query(query_id=0, template_name="t", table_name="lineitem",
                  predicates=(), projection_columns=("l_quantity",),
                  tenant_id=tenant_id)
-
-
-class TestGenerativeShardForeignBudget:
-    """The satellite bugfix: foreign budgets need no profile table."""
-
-    SPEC = PopulationSpec(tenant_count=6, initial_credit=10.0,
-                          budget_sigma=0.5, churn_period=10,
-                          churn_fraction=0.3, seed=13)
-
-    def test_foreign_budget_derives_without_preregistered_profiles(self):
-        source = GenerativeProfileSource(spec=self.SPEC)
-        partitioner = TenantPartitioner(2)
-        shards = [ShardScopedRegistry.generative(source, partitioner, i)
-                  for i in range(2)]
-        model = UserModel()
-        # Mint well past the initial population — churn replacements —
-        # on every shard, exactly as the replicated arrival stream would.
-        for index in range(12):
-            for registry in shards:
-                registry.activate(tenant_id_for(index), now=float(index))
-        for index in range(12):
-            tenant_id = tenant_id_for(index)
-            query = _probe_query(tenant_id)
-            owner = partitioner.shard_of(tenant_id)
-            expected = shards[owner].budget_for(query, 10.0, 4.0, model)
-            foreign = shards[1 - owner].budget_for(query, 10.0, 4.0, model)
-            assert type(foreign) is type(expected)
-            assert repr(foreign) == repr(expected)
-
-    def test_unminted_population_id_derives_neutral_budget(self):
-        # Ids at/beyond the mint high-water mark behave like the eager
-        # path's unknown ids: a None profile, i.e. the default curve.
-        source = GenerativeProfileSource(spec=self.SPEC)
-        partitioner = TenantPartitioner(2)
-        registry = ShardScopedRegistry.generative(source, partitioner, 0)
-        model = UserModel()
-        tenant_id = tenant_id_for(50)
-        if partitioner.owns(0, tenant_id):  # pick a foreign id
-            registry = ShardScopedRegistry.generative(source, partitioner, 1)
-        query = _probe_query(tenant_id)
-        observed = registry.budget_for(query, 10.0, 4.0, model)
-        neutral = TenantRegistry.derive_budget(None, query, 10.0, 4.0, model)
-        assert repr(observed) == repr(neutral)
-
-    def test_foreign_state_never_materialises(self):
-        source = GenerativeProfileSource(spec=self.SPEC)
-        partitioner = TenantPartitioner(2)
-        registry = ShardScopedRegistry.generative(source, partitioner, 0)
-        foreign = next(tenant_id_for(i) for i in range(20)
-                       if not partitioner.owns(0, tenant_id_for(i)))
-        from repro.errors import ShardingError
-
-        with pytest.raises(ShardingError):
-            registry.ensure(foreign)
-        registry.activate(foreign, now=0.0)
-        registry.charge(foreign, 3.0, now=1.0)
-        assert registry.foreign_charged == pytest.approx(3.0)
-        assert registry.materialized_tenant_count() == 0
-        assert foreign not in registry
 
 
 class TestStreamingArrivalSource:
@@ -496,13 +425,6 @@ class TestStreamedCellEquivalence:
             shocks=(parse_shock("price@0.4:0.3:1.6"),))
         assert _rendered(run_tenant_cell(config)) \
             == _rendered(run_eager_cell(config))
-
-    def test_sharded_streamed_matches_eager_for_all_shard_counts(self):
-        config = self._config(scheme="econ-cheap", budget_sigma=0.3)
-        baseline = _rendered(run_eager_cell(config))
-        for shards in (1, 2, 3, 4):
-            merged = run_tenant_experiment([config], shards=shards)
-            assert _rendered(merged[0]) == baseline
 
     def test_streamed_queries_are_batch_planned(self, monkeypatch):
         # The lookahead window primes the planner: no arrival is scored on
@@ -681,24 +603,24 @@ class TestBoundedMaterialization:
 
 class TestStreamedGauges:
     def test_streamed_metrics_carry_memory_gauges(self):
-        # Every cell samples live/materialised tenants; each shard worker
-        # (its own process) also gauges its peak RSS.
+        # Every cell samples live/materialised tenants at each barrier.
+        # Peak RSS is not a sample gauge: the CLI records it in the run
+        # manifest instead.
         from repro.obs.metrics import MetricsTimeseries
 
         config = TenantExperimentConfig(scheme="econ-cheap", **QUICK)
         metrics = MetricsTimeseries()
-        run_tenant_experiment([config], shards=2, metrics=metrics)
+        run_tenant_experiment([config], metrics=metrics)
         samples = metrics.samples
         assert samples
         assert all("live_tenants" in sample for sample in samples)
         assert all("materialized_tenants" in sample for sample in samples)
-        assert all("peak_rss_bytes" in sample for sample in samples)
-        assert all(sample["peak_rss_bytes"] > 0 for sample in samples)
+        assert all("peak_rss_bytes" not in sample for sample in samples)
 
     def test_unsharded_metrics_stay_deterministic(self):
-        # An unsharded cell samples live tenants (a pure simulation
-        # quantity) but never the OS high-water mark, keeping its emission
-        # bitwise reproducible run to run.
+        # A cell samples live tenants (a pure simulation quantity) but
+        # never the OS high-water mark, keeping its emission bitwise
+        # reproducible run to run.
         from repro.obs.metrics import MetricsTimeseries
 
         config = TenantExperimentConfig(scheme="econ-cheap", **QUICK)
