@@ -58,15 +58,11 @@ MODES: Tuple[Tuple[str, bool], ...] = (
 )
 
 
-def _run_once(system: CloudSystem, queries,
-              settlement_period_s: Optional[float], scheme_name: str,
+def _run_once(system: CloudSystem, queries, scheme_name: str,
               plan_tables: Optional[PlanTableCache] = None):
     """One timed pass over the workload; returns (elapsed, steps, scheme)."""
     scheme = system.scheme(scheme_name)
-    scheme.engine.prime_queries(
-        queries, settlement_period_s=settlement_period_s,
-        plan_tables=plan_tables,
-    )
+    scheme.engine.prime_queries(queries, plan_tables=plan_tables)
     started = time.perf_counter()
     steps = [scheme.process(query) for query in queries]
     elapsed = time.perf_counter() - started
@@ -74,8 +70,7 @@ def _run_once(system: CloudSystem, queries,
 
 
 def run_benchmark(query_count: int = 3000, interarrival_s: float = 1.0,
-                  seed: int = 0, settlement_period_s: float = 30.0,
-                  scheme: str = "econ-cheap",
+                  seed: int = 0, scheme: str = "econ-cheap",
                   repetitions: int = 3) -> Dict:
     """Time the cold and warm modes and assemble the report."""
     system = CloudSystem()
@@ -93,8 +88,7 @@ def run_benchmark(query_count: int = 3000, interarrival_s: float = 1.0,
         for _ in range(repetitions):
             tables = warm_tables if reuse_tables else None
             elapsed, steps, run_scheme = _run_once(
-                system, queries, settlement_period_s, scheme,
-                plan_tables=tables,
+                system, queries, scheme, plan_tables=tables,
             )
             elapsed_reps.append(elapsed)
             # Warm plan tables are a cache, not an input: every run must
@@ -123,7 +117,6 @@ def run_benchmark(query_count: int = 3000, interarrival_s: float = 1.0,
         "query_count": query_count,
         "interarrival_s": interarrival_s,
         "seed": seed,
-        "settlement_period_s": settlement_period_s,
         "repetitions": repetitions,
         "python": platform.python_version(),
         "outcomes_identical": outcomes_identical,
@@ -150,7 +143,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--queries", type=int, default=3000)
     parser.add_argument("--interarrival", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--settlement-period", type=float, default=30.0)
     parser.add_argument("--scheme", default="econ-cheap")
     parser.add_argument("--repetitions", type=int, default=3)
     parser.add_argument("--output", default=DEFAULT_OUTPUT)
@@ -162,8 +154,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     report = run_benchmark(
         query_count=args.queries, interarrival_s=args.interarrival,
-        seed=args.seed, settlement_period_s=args.settlement_period,
-        scheme=args.scheme, repetitions=args.repetitions,
+        seed=args.seed, scheme=args.scheme, repetitions=args.repetitions,
     )
     path = write_report(report, args.output)
     if args.history:

@@ -25,13 +25,21 @@ from repro.workload.query import Query, QueryTemplate
 from repro.simulator.simulation import CloudSimulation, SimulationConfig, run_scheme
 from repro.simulator.results import SimulationResult
 from repro.policies.factory import SCHEME_NAMES, build_scheme
-from repro.distcache import (
-    DistCacheRunner,
-    StructurePartitioner,
-    run_partitioned_cell,
-)
 
 __version__ = "0.2.0"
+
+#: Public names of :mod:`repro.distcache`, imported on first access so
+#: that ``import repro`` does not load the partitioned runner.
+_DISTCACHE_NAMES = ("DistCacheRunner", "StructurePartitioner",
+                    "run_partitioned_cell")
+
+
+def __getattr__(name: str):
+    if name in _DISTCACHE_NAMES:
+        import repro.distcache
+
+        return getattr(repro.distcache, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CloudSystem",

@@ -51,81 +51,50 @@ import os
 import sys
 import time
 import warnings
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro import __version__
-from repro.distcache import (
-    PLACEMENT_MODES,
-    PartitionImbalanceWarning,
-    distcache_divergence_table,
-    distcache_partition_table,
-    distcache_placement_table,
-    run_partitioned_experiment,
-)
-from repro.economy.engine import EconomyConfig
 from repro.errors import ReproError
-from repro.policies.economic import EconomicSchemeConfig
-
-from repro.experiments.ablations import (
-    ABLATION_HEADERS,
-    amortization_ablation,
-    bypass_budget_ablation,
-    locality_ablation,
-    regret_fraction_ablation,
-)
-from repro.experiments.config import (
-    BENCH_PROFILE,
-    PAPER_PROFILE,
-    QUICK_PROFILE,
-    ExperimentProfile,
-)
-from repro.experiments.figure4 import figure4_table
-from repro.experiments.figure5 import figure5_table
-from repro.experiments.headline import headline_table
-from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_grid
-from repro.experiments.shocks import run_shock_resilience, shock_resilience_table
-from repro.experiments.tenants import (
-    TenantExperimentConfig,
-    run_tenant_experiment,
-    tenant_aggregate_table,
-    top_tenant_table,
-)
-from repro.obs import (
-    TraceRecorder,
-    build_manifest,
-    peak_rss_bytes,
-    write_report_artifacts,
-)
 from repro.policies.factory import SCHEME_NAMES
-from repro.simulator.simulation import CloudSimulation, SimulationConfig
-from repro.system import CloudSystem
-from repro.workload.grammar import (
-    GrammarDegeneracyWarning,
-    ScenarioGrammar,
-    compile_shock_events,
-    default_shock_grammar,
-    parse_query_class,
-    parse_shock,
-)
-from repro.workload.scenarios import SCENARIO_NAMES, build_scenario
+from repro.workload.scenarios import SCENARIO_NAMES
 
+if TYPE_CHECKING:
+    from repro.obs import TraceRecorder
+
+# Each subcommand imports its own stack inside its handler, so starting
+# the CLI (and parsing) loads only what every command shares.
+
+#: Experiment profile name -> its constant in :mod:`repro.experiments.config`.
 _PROFILES = {
-    "quick": QUICK_PROFILE,
-    "bench": BENCH_PROFILE,
-    "paper": PAPER_PROFILE,
+    "quick": "QUICK_PROFILE",
+    "bench": "BENCH_PROFILE",
+    "paper": "PAPER_PROFILE",
 }
 
+#: Ablation name -> (its driver in :mod:`repro.experiments.ablations`,
+#: table title).
 _ABLATIONS = {
-    "regret": (regret_fraction_ablation,
+    "regret": ("regret_fraction_ablation",
                "Ablation A1 - regret fraction a (Eq. 3)"),
-    "amortization": (amortization_ablation,
+    "amortization": ("amortization_ablation",
                      "Ablation A2 - amortisation horizon n (Eq. 7)"),
-    "locality": (locality_ablation,
+    "locality": ("locality_ablation",
                  "Ablation A3 - workload temporal locality"),
-    "bypass-budget": (bypass_budget_ablation,
+    "bypass-budget": ("bypass_budget_ablation",
                       "Ablation A4 - bypass cache budget"),
 }
+
+#: The partitioned runner's placement modes
+#: (:data:`repro.distcache.PLACEMENT_MODES`), spelled out so parsing does
+#: not import the partitioned runner.
+_PLACEMENT_MODES = ("hash", "adaptive")
+
+
+def _profile(name: str):
+    """The named :class:`~repro.experiments.config.ExperimentProfile`."""
+    from repro.experiments import config
+
+    return getattr(config, _PROFILES[name])
 
 
 def _positive_int(text: str) -> int:
@@ -168,6 +137,8 @@ def _shock_spec(text: str):
     """Argparse type for ``--shock``: the grammar's shock DSL, exit-2
     validated (``invalidate@FRAC[:PREDICATE]``, ``price@FRAC:DUR:FACTOR``,
     ``squeeze@FRAC:DUR:FACTOR``)."""
+    from repro.workload.grammar import parse_shock
+
     try:
         return parse_shock(text)
     except ReproError as error:
@@ -177,6 +148,8 @@ def _shock_spec(text: str):
 def _query_class_spec(text: str):
     """Argparse type for ``--class``: ``NAME:WEIGHT:TPL1+TPL2``, exit-2
     validated (template names are checked eagerly)."""
+    from repro.workload.grammar import parse_query_class
+
     try:
         return parse_query_class(text)
     except ReproError as error:
@@ -296,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "explicitly different semantics for N > 1; "
                               "adds per-partition and divergence report "
                               "sections (default: 1, global cache)")
-    tenants.add_argument("--placement", choices=PLACEMENT_MODES,
+    tenants.add_argument("--placement", choices=_PLACEMENT_MODES,
                          default="hash",
                          help="structure placement across cache partitions: "
                               "'hash' pins every structure to its hash owner "
@@ -365,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "cache and economy partitioned N ways "
                              "(repro.distcache), auditing conservation at "
                              "every settlement barrier (default: 1, skip)")
-    shocks.add_argument("--placement", choices=PLACEMENT_MODES,
+    shocks.add_argument("--placement", choices=_PLACEMENT_MODES,
                         default="hash",
                         help="structure placement for the partitioned rerun "
                              "(default: hash)")
@@ -484,8 +457,13 @@ def _validate_trace(parser: argparse.ArgumentParser,
                      "(the hotspots are folded into their run manifest)")
 
 
-def _figure_command(command: str, profile: ExperimentProfile, jobs: int,
+def _figure_command(command: str, profile, jobs: int,
                     trace: Optional[TraceRecorder] = None) -> str:
+    from repro.experiments.figure4 import figure4_table
+    from repro.experiments.figure5 import figure5_table
+    from repro.experiments.headline import headline_table
+    from repro.experiments.runner import run_grid
+
     grid = run_grid(profile, jobs=jobs, trace=trace)
     if command == "figure4":
         return figure4_table(grid=grid)
@@ -495,16 +473,28 @@ def _figure_command(command: str, profile: ExperimentProfile, jobs: int,
 
 
 def _ablation_command(which: str, queries: int) -> str:
-    driver, title = _ABLATIONS[which]
+    from repro.experiments import ablations
+    from repro.experiments.config import ExperimentProfile
+    from repro.experiments.reporting import format_table
+
+    driver_name, title = _ABLATIONS[which]
     profile = ExperimentProfile(name=f"cli-{which}", query_count=queries,
                                 interarrival_times_s=(1.0,))
-    rows = driver(profile=profile)
-    return format_table(ABLATION_HEADERS, rows, title=title)
+    rows = getattr(ablations, driver_name)(profile=profile)
+    return format_table(ablations.ABLATION_HEADERS, rows, title=title)
 
 
 def _scenario_command(args: argparse.Namespace,
                       trace: Optional[TraceRecorder] = None,
                       metrics=None) -> str:
+    from repro.economy.engine import EconomyConfig
+    from repro.experiments.reporting import format_table
+    from repro.policies.economic import EconomicSchemeConfig
+    from repro.simulator.simulation import CloudSimulation, SimulationConfig
+    from repro.system import CloudSystem
+    from repro.workload.grammar import compile_shock_events
+    from repro.workload.scenarios import build_scenario
+
     scenario = build_scenario(
         args.arrival,
         query_count=args.queries,
@@ -566,8 +556,12 @@ def _scenario_command(args: argparse.Namespace,
     return format_table(headers, rows, title=title)
 
 
-#: Library warnings the CLI re-renders as plain ``warning:`` stderr lines.
-_RENDERED_WARNINGS = (PartitionImbalanceWarning, GrammarDegeneracyWarning)
+def _rendered_warnings() -> tuple:
+    """Library warnings the CLI re-renders as plain ``warning:`` lines."""
+    from repro.distcache import PartitionImbalanceWarning
+    from repro.workload.grammar import GrammarDegeneracyWarning
+
+    return (PartitionImbalanceWarning, GrammarDegeneracyWarning)
 
 
 def _render_warnings(caught: List[warnings.WarningMessage]) -> None:
@@ -580,8 +574,9 @@ def _render_warnings(caught: List[warnings.WarningMessage]) -> None:
     with the "default" filter on the rendered categories, which dedupes
     repeats — one imbalance prints once however many cells trigger it.
     """
+    rendered = _rendered_warnings()
     for entry in caught:
-        if issubclass(entry.category, _RENDERED_WARNINGS):
+        if issubclass(entry.category, rendered):
             print(f"warning: {entry.message}", file=sys.stderr)
         else:
             warnings.warn_explicit(entry.message, entry.category,
@@ -591,6 +586,19 @@ def _render_warnings(caught: List[warnings.WarningMessage]) -> None:
 def _tenants_command(args: argparse.Namespace,
                      trace: Optional[TraceRecorder] = None,
                      metrics=None) -> str:
+    from repro.distcache import (
+        distcache_divergence_table,
+        distcache_partition_table,
+        distcache_placement_table,
+        run_partitioned_experiment,
+    )
+    from repro.experiments.tenants import (
+        TenantExperimentConfig,
+        run_tenant_experiment,
+        tenant_aggregate_table,
+        top_tenant_table,
+    )
+
     names = (list(SCHEME_NAMES) if args.schemes == "all"
              else [name.strip() for name in args.schemes.split(",")
                    if name.strip()])
@@ -622,7 +630,7 @@ def _tenants_command(args: argparse.Namespace,
     ]
     sections: List[str] = []
     with warnings.catch_warnings(record=True) as caught:
-        for category in _RENDERED_WARNINGS:
+        for category in _rendered_warnings():
             warnings.simplefilter("default", category)
         if args.cache_partitions > 1:
             reports = run_partitioned_experiment(
@@ -656,6 +664,18 @@ def _tenants_command(args: argparse.Namespace,
 def _shocks_command(args: argparse.Namespace,
                     trace: Optional[TraceRecorder] = None,
                     metrics=None) -> str:
+    from repro.distcache import (
+        distcache_partition_table,
+        distcache_placement_table,
+        run_partitioned_experiment,
+    )
+    from repro.experiments.shocks import (
+        run_shock_resilience,
+        shock_resilience_table,
+    )
+    from repro.experiments.tenants import TenantExperimentConfig
+    from repro.workload.grammar import ScenarioGrammar, default_shock_grammar
+
     names = (list(SCHEME_NAMES) if args.schemes == "all"
              else [name.strip() for name in args.schemes.split(",")
                    if name.strip()])
@@ -688,7 +708,7 @@ def _shocks_command(args: argparse.Namespace,
     sections: List[str] = []
     conservation_lines: List[str] = []
     with warnings.catch_warnings(record=True) as caught:
-        for category in _RENDERED_WARNINGS:
+        for category in _rendered_warnings():
             warnings.simplefilter("default", category)
         # The recorders observe the primary shocked cells; the partitioned
         # rerun below is a conservation audit and stays unobserved.
@@ -745,6 +765,8 @@ def _shocks_command(args: argparse.Namespace,
 
 
 def _report_command(args: argparse.Namespace) -> str:
+    from repro.obs import write_report_artifacts
+
     artifacts = list(args.artifacts)
     if not artifacts:
         artifacts = sorted(glob.glob("BENCH_*.json"))
@@ -766,9 +788,13 @@ def _report_command(args: argparse.Namespace) -> str:
     grid_tables = None
     grid_profile = None
     if args.grids:
+        from repro.experiments.figure4 import figure4_table
+        from repro.experiments.figure5 import figure5_table
+        from repro.experiments.headline import headline_table
+        from repro.experiments.runner import run_grid
+
         grid_profile = args.grids_profile
-        profile = _PROFILES[grid_profile]
-        grid = run_grid(profile, jobs=args.grids_jobs)
+        grid = run_grid(_profile(grid_profile), jobs=args.grids_jobs)
         grid_tables = {
             "headline": headline_table(grid=grid),
             "figure4": figure4_table(grid=grid),
@@ -788,6 +814,8 @@ def _report_command(args: argparse.Namespace) -> str:
 
 
 def _describe_command() -> str:
+    from repro.system import CloudSystem
+
     system = CloudSystem()
     lines = [system.schema.describe(), ""]
     lines.append(f"candidate indexes: {len(system.candidate_indexes)}")
@@ -806,7 +834,7 @@ def _observed_schemes(args: argparse.Namespace) -> List[str]:
                 else [name.strip() for name in args.schemes.split(",")
                       if name.strip()])
     if args.command in ("figure4", "figure5", "headline"):
-        return list(_PROFILES[args.profile].schemes)
+        return list(_profile(args.profile).schemes)
     return [args.scheme]
 
 
@@ -818,9 +846,11 @@ def _write_observability_artifacts(args: argparse.Namespace,
     """Emit trace/metrics JSONL artifacts, each with a run manifest
     (``PATH.manifest.json``) carrying the process tree's peak RSS and,
     when the run profiled, the cProfile hotspots."""
+    from repro.obs import build_manifest, peak_rss_bytes
+
     schemes = _observed_schemes(args)
     if args.command in ("figure4", "figure5", "headline"):
-        seed = _PROFILES[args.profile].seed
+        seed = _profile(args.profile).seed
     else:
         seed = args.seed
     config = {key: value for key, value in sorted(vars(args).items())
@@ -861,8 +891,8 @@ def _dispatch(args: argparse.Namespace,
               metrics) -> str:
     """Route one parsed command to its driver."""
     if args.command in ("figure4", "figure5", "headline"):
-        return _figure_command(args.command, _PROFILES[args.profile], args.jobs,
-                               trace=trace)
+        return _figure_command(args.command, _profile(args.profile),
+                               args.jobs, trace=trace)
     if args.command == "ablation":
         return _ablation_command(args.which, args.queries)
     if args.command == "scenario":
@@ -883,6 +913,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _validate_trace(parser, args)
     trace: Optional[TraceRecorder] = None
     if getattr(args, "trace", None) is not None:
+        from repro.obs import TraceRecorder
+
         trace = TraceRecorder()
     metrics = None
     if getattr(args, "metrics", None) is not None:

@@ -38,8 +38,9 @@ Typical use, directly or through ``repro.cli tenants --cache-partitions N``::
     report.barriers_verified    # audited settlement barriers
     report.baseline             # global-cache summary for the same seed
 
-A cell's partitions share one process; ``run_partitioned_experiment``'s
-``jobs`` fans independent cells over worker processes instead.
+A cell's partitions share one process and one event kernel, fed by the
+cell's streamed arrivals; ``run_partitioned_experiment``'s ``jobs`` fans
+independent cells over worker processes instead.
 """
 
 from repro.distcache.directory import (
@@ -79,10 +80,8 @@ from repro.distcache.runner import (
     DirectoryPublication,
     DistCacheCellReport,
     DistCacheRunner,
-    PartitionEpochResult,
     PartitionImbalanceWarning,
     PartitionRunStats,
-    run_partition_epoch,
     run_partitioned_cell,
     run_partitioned_experiment,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "HandoffDecision",
     "HandoffRecord",
     "PartitionCheckpoint",
-    "PartitionEpochResult",
     "PartitionImbalanceWarning",
     "PartitionRunStats",
     "PartitionedCacheManager",
@@ -114,7 +112,6 @@ __all__ = [
     "ledger_fold",
     "merge_partition_results",
     "outcome_charge_fold",
-    "run_partition_epoch",
     "run_partitioned_cell",
     "run_partitioned_experiment",
     "verify_delta_fold",

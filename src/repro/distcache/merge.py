@@ -19,10 +19,12 @@ the money:
   charged was banked by exactly one sub-account.
 
 The fold back into a :class:`~repro.experiments.tenants.TenantCellResult`
-reuses the global-cache reporting pipeline: steps re-sort under the
-arrival order, tenant breakdowns under the same total order the global
-run uses (:func:`~repro.experiments.tenants.sorted_breakdowns`), and with
-a single partition the merge is bitwise the unpartitioned result (the
+reuses the global-cache reporting pipeline: steps arrive in the kernel's
+dispatch order, which is the arrival order ``(arrival_time_s,
+query_id)`` the global run records them in, tenant breakdowns sort under
+the same total order the global run uses
+(:func:`~repro.experiments.tenants.sorted_breakdowns`), and with a
+single partition the merge is bitwise the unpartitioned result (the
 fidelity gate ``--cache-partitions 1`` relies on).
 """
 
@@ -33,7 +35,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.distcache.engine import PartitionedEconomyEngine
 from repro.economy.account import CloudAccount, ledger_fold
-from repro.economy.tenancy import TenantRegistry
+from repro.economy.tenancy import GenerativeTenantRegistry
 from repro.errors import DistCacheError
 from repro.experiments.tenants import (
     TenantCellResult,
@@ -134,9 +136,20 @@ def verify_payment_conservation(
 
 
 def verify_wallet_integrity(
-        registries: Sequence[TenantRegistry]) -> None:
-    """Every tenant wallet's balance must fold bitwise from its ledger."""
+        registries: Sequence[GenerativeTenantRegistry]) -> None:
+    """Every tenant wallet's balance must fold bitwise from its ledger.
+
+    A churned wallet's ledger is folded when its state is dropped; the
+    folds that failed then are counted in ``archived_ledger_mismatches``.
+    """
     for partition, registry in enumerate(registries):
+        mismatches = registry.archived_ledger_mismatches
+        if mismatches:
+            raise DistCacheError(
+                f"wallet integrity violated on partition {partition}: "
+                f"{mismatches} churned wallets did not fold from their "
+                f"ledgers"
+            )
         for state in registry.states():
             folded = ledger_fold(state.account)
             if folded != state.account.credit:
@@ -148,7 +161,7 @@ def verify_wallet_integrity(
                 )
 
 
-def merged_wallets(registries: Sequence[TenantRegistry],
+def merged_wallets(registries: Sequence[GenerativeTenantRegistry],
                    steps: Sequence[SchemeStep]
                    ) -> Tuple[Tuple[str, float], ...]:
     """Merge per-partition wallet views into one balance per tenant.
@@ -156,43 +169,49 @@ def merged_wallets(registries: Sequence[TenantRegistry],
     Every partition seeds every wallet with the tenant's full credit and
     withdraws only the charges of the queries it served, so the merged
     balance is ``seed - sum of withdrawals across partitions`` (summed in
-    partition order). Ordering follows the unpartitioned registry:
-    population registration order first, then ad-hoc ids by first
-    appearance in the merged query stream.
+    partition order; a partition that never charged the tenant adds an
+    exact 0.0, so only charging partitions are summed). A tenant no
+    partition charged keeps its seed, which is its balance on the first
+    partition. Ordering follows the unpartitioned registry: population
+    mint order first, then ad-hoc ids by first appearance in the merged
+    query stream.
     """
     if not registries:
         return ()
     if len(registries) == 1:
         return tuple(registries[0].credit_by_tenant().items())
-    ordered: List[str] = list(registries[0].tenant_ids())
-    known = set(ordered)
-    extra = {tid for registry in registries for tid in registry.tenant_ids()
-             if tid not in known}
+    balances = registries[0].credit_by_tenant()
+    ordered: List[str] = list(balances)
+    extra = {tid for registry in registries[1:]
+             for tid in registry.tenant_ids() if tid not in balances}
     for step in steps:
         if step.tenant_id in extra:
             ordered.append(step.tenant_id)
             extra.discard(step.tenant_id)
     ordered.extend(sorted(extra))
 
+    withdrawn: Dict[str, float] = {}
+    for registry in registries:
+        for tenant_id, charged in registry.withdrawn_by_tenant().items():
+            withdrawn[tenant_id] = withdrawn.get(tenant_id, 0.0) + charged
+
     merged: List[Tuple[str, float]] = []
     for tenant_id in ordered:
-        seed = 0.0
-        withdrawn = 0.0
-        for registry in registries:
-            if tenant_id not in registry:
-                continue
-            state = registry.state(tenant_id)
-            seed = state.profile.initial_credit
-            withdrawn += state.account.total_withdrawn()
-        merged.append((tenant_id, seed - withdrawn))
+        charged = withdrawn.get(tenant_id)
+        if charged is None and tenant_id in balances:
+            merged.append((tenant_id, balances[tenant_id]))
+            continue
+        seed = next(registry.initial_credit_of(tenant_id)
+                    for registry in registries if tenant_id in registry)
+        merged.append((tenant_id, seed - (charged or 0.0)))
     return tuple(merged)
 
 
 def merge_partition_results(
         config: TenantExperimentConfig,
-        steps_by_partition: Sequence[Sequence[SchemeStep]],
+        steps: Sequence[SchemeStep],
         maintenance_by_partition: Sequence[Sequence[Tuple[float, float]]],
-        registries: Sequence[TenantRegistry],
+        registries: Sequence[GenerativeTenantRegistry],
         duration_s: float,
         population_size: int,
         churn_waves: int,
@@ -200,31 +219,26 @@ def merge_partition_results(
         ) -> TenantCellResult:
     """Fold per-partition outputs into one cell result.
 
-    With one partition the replay is handed to a fresh collector in the
-    exact order the unpartitioned simulation would have produced, making
-    the result bitwise identical to
-    :func:`repro.experiments.tenants.run_tenant_cell`. With several, the
-    steps interleave under the arrival order and maintenance totals add
-    in partition order; ``duration_s`` is the global run span.
+    ``steps`` are every partition's steps in dispatch order, the order
+    the unpartitioned simulation records them in. With one partition the
+    maintenance records replay into the collector one by one, making the
+    result bitwise identical to
+    :func:`repro.experiments.tenants.run_tenant_cell`. With several,
+    maintenance totals add record by record in partition order and
+    ``duration_s`` is the global run span.
     ``kernel_losses_by_partition`` carries kernel-driven eviction losses
     (invalidation shocks, strict-maintenance shutdowns) per partition in
     event order; they book exactly like
     :meth:`~repro.simulator.metrics.MetricsCollector.record_kernel_evictions`
-    in the unpartitioned run.
+    in the unpartitioned run, after the steps.
     """
     collector = MetricsCollector(config.scheme)
-    if len(steps_by_partition) == 1:
-        for step in steps_by_partition[0]:
-            collector.record_step(step)
+    for step in steps:
+        collector.record_step(step)
+    if len(maintenance_by_partition) == 1:
         for dollars, elapsed in maintenance_by_partition[0]:
             collector.record_maintenance(dollars, elapsed)
     else:
-        merged_steps: List[SchemeStep] = []
-        for steps in steps_by_partition:
-            merged_steps.extend(steps)
-        merged_steps.sort(key=lambda step: (step.arrival_time_s, step.query_id))
-        for step in merged_steps:
-            collector.record_step(step)
         total_maintenance = 0.0
         for records in maintenance_by_partition:
             for dollars, _ in records:

@@ -1,26 +1,29 @@
-"""The partitioned-cell runner: epochs, barriers, directory publication.
+"""The partitioned-cell runner: one kernel, a router, settlement barriers.
 
-One partitioned cell run executes like this::
+A partitioned cell runs on the kernel assembly every run uses
+(:func:`repro.simulator.simulation.drive`), fed by the cell's streamed
+arrivals (:func:`repro.experiments.tenants.cell_arrivals`)::
 
-    route queries by template  ->  partition 0 .. N-1 substreams
-    for each epoch (settlement barrier to settlement barrier):
-        every partition replays its substream slice against its OWN
-        PartitionedCacheManager + provider sub-account, in this process
-        at the barrier:
-            settle maintenance on every partition up to the barrier
-            [adaptive placement] drain per-structure benefit bids,
-            apply the PlacementPolicy's ownership handoffs (override
-            table + residency state + in-flight regret move together)
-            route foreign regret to the (possibly new) owners
-            publish the directory: a delta against the previous epoch,
-            fold-verified (prev + delta == full) with a periodic
-            full-snapshot anchor
-            verify sub-account ledger integrity + payment conservation
-    final barrier: wallet integrity audit, fold into a TenantCellResult
+    partitions 0 .. N-1: each its OWN PartitionedCacheManager, provider
+        sub-account and generative registry over the one profile source
+    each lookahead refill: every partition primes its routed share
+    query: routed (template affinity) to one partition, which settles
+        its maintenance and serves it
+    tenant lifecycle, market shock: every partition, in partition order
+    settlement event = barrier:
+        every partition settles, runs strict maintenance and books the
+        losses (run_partition_epoch)
+        [adaptive placement] apply the PlacementPolicy's ownership
+        handoffs (override table + residency + in-flight regret)
+        route foreign regret to the (possibly new) owners
+        publish the directory as a fold-verified delta
+        (prev + delta == full) with a periodic full-snapshot anchor
+        verify sub-account ledger integrity + payment conservation
+    final barrier, after the last event: wallet integrity audit, merge
+        into a TenantCellResult
 
-A cell's partition schemes (cache, sub-account, regret, registry) stay
-live in one process and replay in partition order, so nothing is
-serialised between barriers. More cores go to *independent cells*:
+Nothing is materialised up front or serialised between barriers, and
+steps arrive in dispatch order. More cores go to *independent cells*:
 :meth:`DistCacheRunner.run_cells` fans cells over a process pool of
 ``max_workers``, which changes wall-clock, never results.
 
@@ -36,7 +39,6 @@ divergence report against the global-cache baseline and documented in
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -62,58 +64,36 @@ from repro.distcache.placement import (
 )
 from repro.economy.account import CloudAccount
 from repro.economy.engine import EconomyConfig
-from repro.economy.tenancy import TenantRegistry
+from repro.economy.tenancy import GenerativeTenantRegistry
 from repro.errors import DistCacheError
 from repro.experiments.tenants import (
     TenantCellResult,
     TenantExperimentConfig,
-    build_population,
+    cell_arrivals,
     run_tenant_cell,
 )
 from repro.policies.base import CachingScheme, SchemeStep
 from repro.policies.economic import EconomicSchemeConfig
 from repro.simulator.events import (
+    Event,
+    MaintenanceSettlementEvent,
     ProviderPriceShockEvent,
+    QueryArrivalEvent,
     StructureInvalidationEvent,
+    TenantArrivalEvent,
     TenantBudgetSqueezeEvent,
+    TenantChurnEvent,
 )
+from repro.simulator.kernel import SimulationKernel
 from repro.simulator.metrics import MetricsSummary
-from repro.simulator.simulation import trailing_interval_for
+from repro.simulator.simulation import SimulationConfig, drive
 from repro.system import CloudSystem
-from repro.workload.grammar import compile_shock_events
-
-#: Event-order ranks mirroring :mod:`repro.simulator.events`: at one
-#: instant, lifecycle markers apply before the barrier settles, the
-#: barrier settles before simultaneous market shocks land, and shocks
-#: land before simultaneous queries run.
-_PRIORITY_ARRIVAL = 4
-_PRIORITY_CHURN = 6
-_PRIORITY_BARRIER = 10
-_PRIORITY_INVALIDATION = 12
-_PRIORITY_PRICE_SHOCK = 14
-_PRIORITY_SQUEEZE = 16
-_PRIORITY_QUERY = 30
+from repro.workload.population import GenerativeProfileSource
+from repro.workload.query import Query
 
 
 class PartitionImbalanceWarning(UserWarning):
     """More cache partitions than busy templates: some serve no queries."""
-
-
-@dataclass(frozen=True)
-class PartitionEpochResult:
-    """One partition's epoch output: the replay record.
-
-    ``eviction_losses`` carries the dollar loss of each kernel-driven
-    eviction (invalidation shocks, strict-maintenance shutdowns) in
-    event order, so the merge can book them exactly like
-    ``MetricsCollector.record_kernel_evictions`` does in the
-    unpartitioned run.
-    """
-
-    steps: Tuple[SchemeStep, ...]
-    maintenance: Tuple[Tuple[float, float], ...]
-    last_settled_s: float
-    eviction_losses: Tuple[float, ...] = ()
 
 
 #: Placement modes: ``hash`` pins every structure to its hash owner
@@ -209,75 +189,189 @@ class DistCacheCellReport:
         return sum(pub.full_bytes for pub in self.publications)
 
 
-def run_partition_epoch(scheme: CachingScheme,
-                        items: Sequence[Tuple[float, int, int, object]],
-                        settle_to_s: float,
-                        last_settled_s: float) -> PartitionEpochResult:
-    """Replay one partition's slice of one epoch, mutating its scheme.
+class _Partition:
+    """One partition's scheme plus what its replay leaves for the merge.
 
-    ``items`` are ``DistCacheRunner._epoch_items`` entries, whose ranks
-    mirror the kernel's instant ordering, so maintenance settles at exactly
-    the instants — and in exactly the order — the unpartitioned event loop
-    would settle at.
+    ``maintenance`` holds one ``(dollars, elapsed)`` record per settled
+    interval and ``eviction_losses`` the dollar loss of each kernel-driven
+    eviction (invalidation shocks, strict-maintenance shutdowns), both in
+    event order, so the merge can fold them exactly like
+    :class:`~repro.simulator.metrics.MetricsCollector` does in the
+    unpartitioned run.
     """
-    registry = scheme.tenant_registry
-    steps: List[SchemeStep] = []
-    maintenance: List[Tuple[float, float]] = []
-    eviction_losses: List[float] = []
-    # Economic schemes score the whole epoch slice in one vectorized pass;
-    # the bypass scheme ignores the priming (see CachingScheme.prime_workload).
-    scheme.prime_workload(tuple(
-        payload for _, rank, _, payload in items if rank == _PRIORITY_QUERY
-    ))
 
-    def settle(now: float) -> None:
-        nonlocal last_settled_s
-        elapsed = now - last_settled_s
-        last_settled_s = max(last_settled_s, now)
+    __slots__ = ("scheme", "maintenance", "eviction_losses",
+                 "last_settled_s", "queries_served")
+
+    def __init__(self, scheme: CachingScheme, start_s: float) -> None:
+        self.scheme = scheme
+        self.maintenance: List[Tuple[float, float]] = []
+        self.eviction_losses: List[float] = []
+        self.last_settled_s = start_s
+        self.queries_served = 0
+
+    def settle(self, now: float) -> None:
+        """Charge maintenance accrued since the last settlement."""
+        elapsed = now - self.last_settled_s
+        self.last_settled_s = max(self.last_settled_s, now)
         if elapsed <= 0:
             return
-        maintenance.append((scheme.maintenance_rate() * elapsed, elapsed))
+        self.maintenance.append(
+            (self.scheme.maintenance_rate() * elapsed, elapsed))
 
-    for _, rank, _, payload in items:
-        if rank == _PRIORITY_QUERY:
-            settle(payload.arrival_time)
-            steps.append(scheme.process(payload))
-        elif rank == _PRIORITY_ARRIVAL:
-            if registry is not None:
-                registry.activate(payload.tenant_id, now=payload.time_s)
-        elif rank == _PRIORITY_CHURN:
-            if registry is not None:
-                registry.deactivate(payload.tenant_id, now=payload.time_s)
-        elif rank == _PRIORITY_INVALIDATION:
-            # Maintenance settles at pre-fault rates first, mirroring the
-            # kernel's settle-at-every-event contract. The partition only
-            # holds (and therefore only destroys) its own structures; the
-            # loss propagates to the directory at the next barrier.
-            settle(payload.time_s)
-            records = scheme.apply_invalidation(payload.predicate,
-                                                payload.time_s)
-            eviction_losses.extend(
-                scheme.eviction_loss(record) for record in records)
-        elif rank == _PRIORITY_PRICE_SHOCK:
-            settle(payload.time_s)
-            scheme.apply_price_shock(payload.factor, payload.time_s)
-        elif rank == _PRIORITY_SQUEEZE:
-            settle(payload.time_s)
-            scheme.apply_budget_squeeze(payload.factor, payload.time_s)
-        else:
-            raise DistCacheError(f"unknown epoch item rank {rank}")
-    settle(settle_to_s)
-    # The barrier doubles as the settlement event: strict-maintenance
-    # shutdown priorities run here, exactly like SchemeTenant.on_settlement.
-    records = scheme.enforce_maintenance(settle_to_s)
-    eviction_losses.extend(
-        scheme.eviction_loss(record) for record in records)
-    return PartitionEpochResult(
-        steps=tuple(steps),
-        maintenance=tuple(maintenance),
-        last_settled_s=last_settled_s,
-        eviction_losses=tuple(eviction_losses),
-    )
+    def book(self, records) -> None:
+        """Book the losses of kernel-driven evictions."""
+        loss_of = self.scheme.eviction_loss
+        self.eviction_losses.extend(loss_of(record) for record in records)
+
+
+def run_partition_epoch(partition: _Partition, barrier_s: float) -> None:
+    """Close one partition's epoch at a settlement barrier.
+
+    Settles the partition's maintenance up to the barrier and runs its
+    strict-maintenance shutdown there, booking the losses — exactly what
+    :meth:`~repro.simulator.handlers.SchemeTenant.on_settlement` does for
+    an unpartitioned scheme. It runs once per partition per barrier
+    (``perfbench`` counts the calls as ``distcache.epochs``).
+    """
+    partition.settle(barrier_s)
+    partition.book(partition.scheme.enforce_maintenance(barrier_s))
+
+
+class _PartitionedCell:
+    """A partitioned cell's kernel participant: the router and the barrier.
+
+    Queries go to the partition :class:`QueryRouter` picks; tenant
+    lifecycle and market-shock events go to every partition, in partition
+    order (each partition holds a full registry view, and a shock hits
+    the whole market: an invalidation destroys matches on every
+    partition, a repricing reprices every sub-economy). Settlement
+    events are the barriers. The barrier at the end instant is left to
+    :meth:`close`, which runs after the kernel has drained, so the final
+    barrier closes the run after its last same-instant event whether or
+    not the kernel scheduled a final settlement.
+    """
+
+    def __init__(self, runner: "DistCacheRunner",
+                 schemes: Sequence[CachingScheme],
+                 policy: Optional[PlacementPolicy],
+                 start_s: float, end_s: float) -> None:
+        self._runner = runner
+        self.partitions = [_Partition(scheme, start_s) for scheme in schemes]
+        self.schemes = tuple(schemes)
+        self.registries = [scheme.tenant_registry for scheme in schemes]
+        self._policy = policy
+        self._end_s = end_s
+        self._epoch_start_s = start_s
+        self.steps: List[SchemeStep] = []
+        self.checkpoints: List[PartitionCheckpoint] = []
+        self.handoffs: List[HandoffRecord] = []
+        self.publications: List[DirectoryPublication] = []
+        self.directory = CrossShardDirectory.empty()
+
+    def register(self, kernel: SimulationKernel) -> None:
+        """Register the router and barrier handlers on ``kernel``."""
+        kernel.register(QueryArrivalEvent, self.on_query)
+        kernel.register(MaintenanceSettlementEvent, self.on_settlement)
+        kernel.register(TenantArrivalEvent, self.on_tenant_arrival)
+        kernel.register(TenantChurnEvent, self.on_tenant_churn)
+        for shock_type in (StructureInvalidationEvent,
+                           ProviderPriceShockEvent, TenantBudgetSqueezeEvent):
+            kernel.register(shock_type, self.on_shock)
+
+    def prime_partitions(self, queries: Sequence[Query]) -> None:
+        """Prime each partition with its routed share of a refill."""
+        routed = self._runner._router.split(queries)
+        for partition, share in zip(self.partitions, routed):
+            if share:
+                partition.scheme.prime_workload(share)
+
+    # -- handlers --------------------------------------------------------------
+
+    def on_query(self, event: Event, kernel: SimulationKernel) -> None:
+        """Settle the owning partition up to the arrival, then serve it."""
+        query = event.query
+        partition = self.partitions[self._runner._router.partition_of(query)]
+        partition.settle(event.time_s)
+        self.steps.append(partition.scheme.process(query))
+        partition.queries_served += 1
+
+    def on_tenant_arrival(self, event: Event,
+                          kernel: SimulationKernel) -> None:
+        """Activate the arriving tenant on every partition."""
+        for registry in self.registries:
+            registry.activate(event.tenant_id, now=event.time_s)
+
+    def on_tenant_churn(self, event: Event, kernel: SimulationKernel) -> None:
+        """Deactivate the churning tenant on every partition."""
+        for registry in self.registries:
+            registry.deactivate(event.tenant_id, now=event.time_s)
+
+    def on_shock(self, event: Event, kernel: SimulationKernel) -> None:
+        """Settle every partition, then apply the market shock to it.
+
+        Maintenance settles at pre-shock rates first. An invalidation only
+        destroys the partition's own structures; the loss reaches the
+        directory at the next barrier.
+        """
+        for partition in self.partitions:
+            partition.settle(event.time_s)
+            scheme = partition.scheme
+            if isinstance(event, StructureInvalidationEvent):
+                partition.book(scheme.apply_invalidation(event.predicate,
+                                                         event.time_s))
+            elif isinstance(event, ProviderPriceShockEvent):
+                scheme.apply_price_shock(event.factor, event.time_s)
+            else:
+                scheme.apply_budget_squeeze(event.factor, event.time_s)
+
+    def on_settlement(self, event: Event, kernel: SimulationKernel) -> None:
+        """A settlement before the end instant is an interior barrier."""
+        if event.time_s < self._end_s:
+            self._barrier(event.time_s, final=False)
+
+    def close(self) -> None:
+        """Run the final barrier at the end instant."""
+        self._barrier(self._end_s, final=True)
+
+    # -- the barrier -----------------------------------------------------------
+
+    def _barrier(self, barrier_s: float, final: bool) -> None:
+        """Close every partition's epoch, then do the cross-partition work."""
+        for partition in self.partitions:
+            run_partition_epoch(partition, barrier_s)
+        runner = self._runner
+        schemes = self.schemes
+        epoch = len(self.checkpoints) + 1
+        applied: List[HandoffRecord] = []
+        if self._policy is not None:
+            applied = runner._apply_handoffs(schemes, self._policy,
+                                             epoch=epoch, now=barrier_s)
+            self.handoffs.extend(applied)
+        runner._forward_regret(schemes)
+        self.directory, publication = runner._publish_directory(
+            schemes, epoch, previous=self.directory)
+        self.publications.append(publication)
+        self.checkpoints.append(runner._checkpoint(
+            schemes, barrier_s, epoch, self.directory,
+            handoffs_applied=len(applied)))
+        trace = runner._trace
+        if trace is not None:
+            trace.span(
+                "settlement_barrier", start_s=self._epoch_start_s,
+                end_s=barrier_s, epoch=epoch,
+                directory_entries=len(self.directory),
+                directory_delta_bytes=publication.delta_bytes,
+                handoffs_applied=len(applied), final=final)
+            for record in applied:
+                trace.event(
+                    "handoff", time_s=barrier_s, key=record.key,
+                    from_partition=record.from_partition,
+                    to_partition=record.to_partition)
+        if runner._metrics is not None:
+            runner._sample_barrier(schemes, barrier_s, epoch, final,
+                                   self.directory, publication, len(applied))
+        self._epoch_start_s = barrier_s
 
 
 class DistCacheRunner:
@@ -332,11 +426,10 @@ class DistCacheRunner:
         self._anchor_period = anchor_period
         # Observability sinks (duck-typed TraceRecorder); None = disabled.
         # Per-partition recorders live on the engines and are absorbed
-        # into these collectors when a cell completes. The
-        # partitioned run has no kernel, so the barrier loop below doubles
-        # as the metrics sampler: per-partition samples are taken off the
-        # live engines at every barrier, exactly where a kernel run's
-        # settlement observer would fire.
+        # into these collectors when a cell completes. The barrier
+        # handler doubles as the metrics sampler: per-partition samples
+        # are taken off the live engines at every barrier, exactly where
+        # an unpartitioned run's settlement observer would fire.
         self._trace = trace
         self._metrics = metrics
 
@@ -353,8 +446,14 @@ class DistCacheRunner:
     # -- assembly --------------------------------------------------------------
 
     def _build_schemes(self, config: TenantExperimentConfig,
-                       profiles) -> List[CachingScheme]:
-        """One scheme (cache + sub-account + full registry) per partition."""
+                       source: GenerativeProfileSource
+                       ) -> List[CachingScheme]:
+        """One scheme (cache + sub-account + registry view) per partition.
+
+        Every partition's generative registry derives profiles from the
+        cell's one ``source``, so each sees the whole population without
+        holding it.
+        """
         if config.scheme == "bypass":
             raise DistCacheError(
                 "partitioned mode requires an economy; the bypass baseline "
@@ -364,8 +463,7 @@ class DistCacheRunner:
         partition_count = self.partition_count
         schemes: List[CachingScheme] = []
         for index in range(partition_count):
-            registry = TenantRegistry()
-            registry.register_all(profiles)
+            registry = GenerativeTenantRegistry(source)
 
             def factory(enumerator, structure_costs, cache_config,
                         economy_config, tenants, _index=index):
@@ -399,58 +497,19 @@ class DistCacheRunner:
             ))
         return schemes
 
-    def _epoch_items(self, queries, lifecycle, shocks=()
-                     ) -> List[List[Tuple[float, int, int, object]]]:
-        """Per-partition item lists in kernel dispatch order.
-
-        Every partition receives its routed queries plus *all* lifecycle
-        markers and market-shock events (each partition holds the full
-        registry, and a shock hits the whole market — an invalidation
-        must destroy matches on every partition, a repricing reprices
-        every sub-economy); items are ``(time, rank, insertion,
-        payload)`` sorted exactly like the kernel's ``(time_s, priority,
-        FIFO)`` queue — queries are scheduled first, markers after,
-        shocks last, matching ``_run_tenants``.
-        """
-        shock_ranks = {
-            StructureInvalidationEvent: _PRIORITY_INVALIDATION,
-            ProviderPriceShockEvent: _PRIORITY_PRICE_SHOCK,
-            TenantBudgetSqueezeEvent: _PRIORITY_SQUEEZE,
-        }
-        sequenced: List[Tuple[float, int, int, object]] = []
-        counter = 0
-        for query in queries:
-            sequenced.append(
-                (query.arrival_time, _PRIORITY_QUERY, counter, query))
-            counter += 1
-        for marker in lifecycle:
-            rank = (_PRIORITY_ARRIVAL if marker.kind == "arrival"
-                    else _PRIORITY_CHURN)
-            sequenced.append((marker.time_s, rank, counter, marker))
-            counter += 1
-        for event in shocks:
-            sequenced.append(
-                (event.time_s, shock_ranks[type(event)], counter, event))
-            counter += 1
-        sequenced.sort(key=lambda item: item[:3])
-
-        per_partition: List[List[Tuple[float, int, int, object]]] = [
-            [] for _ in range(self.partition_count)
-        ]
-        for time_s, rank, insertion, payload in sequenced:
-            if rank == _PRIORITY_QUERY:
-                targets = [self._router.partition_of(payload)]
-            else:
-                targets = range(self.partition_count)
-            for partition in targets:
-                per_partition[partition].append(
-                    (time_s, rank, insertion, payload))
-        return per_partition
-
     # -- execution -------------------------------------------------------------
 
     def run_cell(self, config: TenantExperimentConfig) -> DistCacheCellReport:
         """Run one cell partitioned; audit every barrier; merge exactly."""
+        report = self._run_partitions(config)
+        if self._compare_baseline and self.partition_count > 1:
+            # The global-cache twin runs once the partitions' state is
+            # released, so the two runs' peaks do not stack.
+            report = replace(report, baseline=run_tenant_cell(config).summary)
+        return report
+
+    def _run_partitions(self, config: TenantExperimentConfig
+                        ) -> DistCacheCellReport:
         if config.warmup_queries:
             raise DistCacheError(
                 "partitioned mode does not support warmup_queries")
@@ -462,9 +521,8 @@ class DistCacheRunner:
             policy = PlacementPolicy(
                 self.partition_count,
                 handoff_threshold=self._handoff_threshold)
-        populated = build_population(config)
-        queries = list(populated.queries)
-        schemes = self._build_schemes(config, populated.profiles)
+        arrivals = cell_arrivals(config)
+        schemes = self._build_schemes(config, arrivals.source)
         if self._trace is not None or self._metrics is not None:
             # Per-partition recorders are absorbed after the last barrier.
             from repro.obs.metrics import MetricsTimeseries, combined_recorder
@@ -478,120 +536,49 @@ class DistCacheRunner:
                     MetricsTimeseries(source=source)
                     if self._metrics is not None else None,
                 ))
-        items = self._epoch_items(
-            queries, populated.lifecycle,
-            compile_shock_events(config.shocks, populated.queries))
 
-        routed_counts = [
-            sum(1 for _, rank, _, _ in partition_items
-                if rank == _PRIORITY_QUERY)
-            for partition_items in items
-        ]
-        if min(routed_counts) == 0:
+        envelope = arrivals.envelope
+        start_s = envelope.start_s
+        end_s = envelope.last_s + envelope.trailing_interval_s
+        cell = _PartitionedCell(self, schemes, policy, start_s, end_s)
+        drive([cell], SimulationConfig(
+                  settlement_period_s=config.settlement_period_s),
+              arrivals.stream, envelope, on_queries=cell.prime_partitions,
+              shock_events=arrivals.shock_events)
+        cell.close()
+
+        partitions = cell.partitions
+        if min(partition.queries_served for partition in partitions) == 0:
             warnings.warn(
                 f"cache partition count {self.partition_count} exceeds the "
                 f"workload's busy template count; some cache partitions "
                 f"serve no queries",
                 PartitionImbalanceWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-
-        start_s = queries[0].arrival_time
-        trailing_s = trailing_interval_for(queries)
-        end_s = queries[-1].arrival_time + trailing_s
-        barriers: List[float] = []
-        if config.settlement_period_s is not None:
-            cut = start_s + config.settlement_period_s
-            while cut <= end_s:
-                barriers.append(cut)
-                cut += config.settlement_period_s
-        if not barriers or barriers[-1] != end_s:
-            barriers.append(end_s)
-
-        cursor = [0] * self.partition_count
-        last_settled = [start_s] * self.partition_count
-        steps: List[List[SchemeStep]] = [[] for _ in schemes]
-        maintenance: List[List[Tuple[float, float]]] = [[] for _ in schemes]
-        kernel_losses: List[List[float]] = [[] for _ in schemes]
-        checkpoints: List[PartitionCheckpoint] = []
-        handoffs: List[HandoffRecord] = []
-        publications: List[DirectoryPublication] = []
-        directory = CrossShardDirectory.empty()
-
-        for epoch, barrier in enumerate(barriers):
-            is_final = epoch == len(barriers) - 1
-            for partition, scheme in enumerate(schemes):
-                partition_items = items[partition]
-                begin = cursor[partition]
-                # Interior barriers cut like the kernel's event order: a
-                # settlement outranks same-instant queries. The final
-                # barrier closes the run, so it drains everything (a
-                # zero-trailing run can place its last arrival exactly at
-                # the end instant).
-                index = (len(partition_items) if is_final else bisect_left(
-                    partition_items, (barrier, _PRIORITY_BARRIER), lo=begin,
-                    key=lambda item: item[:2]))
-                cursor[partition] = index
-                result = run_partition_epoch(
-                    scheme, partition_items[begin:index], barrier,
-                    last_settled[partition])
-                steps[partition].extend(result.steps)
-                maintenance[partition].extend(result.maintenance)
-                kernel_losses[partition].extend(result.eviction_losses)
-                last_settled[partition] = result.last_settled_s
-
-            applied: List[HandoffRecord] = []
-            if policy is not None:
-                applied = self._apply_handoffs(
-                    schemes, policy, epoch=epoch + 1, now=barrier)
-                handoffs.extend(applied)
-            self._forward_regret(schemes)
-            directory, publication = self._publish_directory(
-                schemes, epoch + 1, previous=directory)
-            publications.append(publication)
-            checkpoints.append(self._checkpoint(
-                schemes, barrier, epoch + 1, directory,
-                handoffs_applied=len(applied)))
-            if self._trace is not None:
-                epoch_start = barriers[epoch - 1] if epoch else start_s
-                self._trace.span(
-                    "settlement_barrier", start_s=epoch_start,
-                    end_s=barrier, epoch=epoch + 1,
-                    directory_entries=len(directory),
-                    directory_delta_bytes=publication.delta_bytes,
-                    handoffs_applied=len(applied), final=is_final)
-                for record in applied:
-                    self._trace.event(
-                        "handoff", time_s=barrier, key=record.key,
-                        from_partition=record.from_partition,
-                        to_partition=record.to_partition)
-            if self._metrics is not None:
-                self._sample_barrier(schemes, barrier, epoch + 1,
-                                     is_final, directory, publication,
-                                     len(applied))
-
-        registries = [scheme.tenant_registry for scheme in schemes]
-        verify_wallet_integrity(registries)
-        cell = merge_partition_results(
+        verify_wallet_integrity(cell.registries)
+        merged = merge_partition_results(
             config=config,
-            steps_by_partition=steps,
-            maintenance_by_partition=maintenance,
-            registries=registries,
+            steps=cell.steps,
+            maintenance_by_partition=[partition.maintenance
+                                      for partition in partitions],
+            registries=cell.registries,
             duration_s=end_s - start_s,
-            population_size=populated.tenant_count,
-            churn_waves=populated.churn_waves,
-            kernel_losses_by_partition=kernel_losses,
+            population_size=arrivals.stream.tenants_minted,
+            churn_waves=arrivals.stream.churn_events,
+            kernel_losses_by_partition=[partition.eviction_losses
+                                        for partition in partitions],
         )
         if self._trace is not None or self._metrics is not None:
             from repro.obs.metrics import metrics_part, trace_part
 
-            for partition, scheme in enumerate(schemes):
-                engine = self._engine_of(scheme)
+            for index, partition in enumerate(partitions):
+                engine = self._engine_of(partition.scheme)
                 if self._trace is not None:
                     self._trace.event(
                         "partition_summary", time_s=end_s,
-                        partition=partition,
-                        queries_served=len(steps[partition]),
+                        partition=index,
+                        queries_served=partition.queries_served,
                         remote_hits=engine.remote_hits,
                         remote_surcharge_dollars=engine.remote_dollars,
                         peak_cache_bytes=(
@@ -603,21 +590,17 @@ class DistCacheRunner:
                     part = metrics_part(engine.trace)
                     if part is not None:
                         self._metrics.absorb(part)
-        baseline: Optional[MetricsSummary] = None
-        if self._compare_baseline and self.partition_count > 1:
-            baseline = run_tenant_cell(config).summary
         return DistCacheCellReport(
-            cell=cell,
+            cell=merged,
             partition_count=self.partition_count,
-            partitions=tuple(self._partition_stats(schemes, steps)),
-            checkpoints=tuple(checkpoints),
-            directory_size=len(directory),
+            partitions=tuple(self._partition_stats(partitions)),
+            checkpoints=tuple(cell.checkpoints),
+            directory_size=len(cell.directory),
             remote=self._remote,
-            baseline=baseline,
             placement=self._placement,
             handoff_threshold=self._handoff_threshold,
-            handoffs=tuple(handoffs),
-            publications=tuple(publications),
+            handoffs=tuple(cell.handoffs),
+            publications=tuple(cell.publications),
         )
 
     def run_cells(self, configs: Sequence[TenantExperimentConfig]
@@ -847,16 +830,15 @@ class DistCacheRunner:
                 f"scheme {scheme.name!r} is not running a partitioned engine")
         return engine
 
-    def _partition_stats(self, schemes: Sequence[CachingScheme],
-                         steps: Sequence[Sequence[SchemeStep]]
+    def _partition_stats(self, partitions: Sequence[_Partition]
                          ) -> List[PartitionRunStats]:
         stats: List[PartitionRunStats] = []
-        for partition, scheme in enumerate(schemes):
-            engine = self._engine_of(scheme)
+        for index, partition in enumerate(partitions):
+            engine = self._engine_of(partition.scheme)
             cache = engine.partitioned_cache
             stats.append(PartitionRunStats(
-                partition_index=partition,
-                queries_served=len(steps[partition]),
+                partition_index=index,
+                queries_served=partition.queries_served,
                 local_structures=len(cache.built_keys),
                 peak_cache_bytes=cache.peak_disk_used_bytes,
                 subaccount_credit=engine.account.credit,

@@ -1,19 +1,19 @@
 """Epoch-level batch scheduling for the vectorized planner.
 
 The :class:`BatchScheduler` sits between the simulator and the engine's
-per-query pipeline: :meth:`BatchScheduler.prime` receives the upcoming
-arrivals (once per run, or once per partition epoch in the distributed
-runner) and splits them into **epochs** at settlement boundaries, and
-:meth:`BatchScheduler.extend` queues more arrivals behind them without
-touching what is already primed (a streamed run hands over each slice of
-its lookahead window this way). When the engine asks for the first query
-of an unevaluated epoch, every template's batch across as many
-consecutive epochs as fit in the memory bound is scored in one
-vectorized pass (:func:`repro.costmodel.vectorized.evaluate_plan_table`)
-and the per-query results are handed out as the queries arrive. A query
-nobody primed (a direct ``process_query`` call, a query id seen twice)
-is scored on demand as a one-query block, leaving the primed window as
-it is.
+per-query pipeline: :meth:`BatchScheduler.extend` queues upcoming
+arrivals behind the ones already primed, as **epochs** of at most
+:data:`DEFAULT_MAX_BATCH_SIZE` queries, without touching what is already
+primed. Every run hands over each slice of its arrival source's
+lookahead window this way (a partitioned cell hands each partition its
+routed share of the slice). When the engine asks for the first query of
+an unevaluated epoch, every template's batch across as many consecutive
+epochs as fit in the memory bound is scored in one vectorized pass
+(:func:`repro.costmodel.vectorized.evaluate_plan_table`) and the
+per-query results are handed out as the queries arrive. A query nobody
+primed (a direct ``process_query`` call, a query id seen twice) is
+scored on demand as a one-query block, leaving the primed window as it
+is.
 
 Only *execution estimates* are precomputed this way — they depend on the
 query instance and the immutable cost model alone, never on cache state,
@@ -38,8 +38,8 @@ from repro.planner.enumerator import PlanEnumerator
 from repro.planner.plan_table import PlanTable, PlanTableCache
 from repro.workload.query import Query
 
-#: Upper bound on queries evaluated in one vectorized pass when no
-#: settlement period splits the workload (bounds peak array memory).
+#: Upper bound on queries evaluated in one vectorized pass (bounds peak
+#: array memory).
 DEFAULT_MAX_BATCH_SIZE = 4096
 
 
@@ -117,7 +117,7 @@ class BatchScheduler:
 
     @property
     def tables(self) -> PlanTableCache:
-        """The plan-table cache (shared across primes and epochs)."""
+        """The plan-table cache (shared across epochs)."""
         return self._tables
 
     @property
@@ -125,43 +125,14 @@ class BatchScheduler:
         """Primed queries not yet handed out."""
         return len(self._epoch_of)
 
-    def prime(self, queries: Sequence[Query],
-              settlement_period_s: Optional[float] = None) -> None:
-        """Register upcoming arrivals, replacing any previous priming.
-
-        Args:
-            queries: the arrivals, in arrival order.
-            settlement_period_s: when set, epoch boundaries follow the
-                simulation's settlement grid (arrivals between consecutive
-                settlement events form one epoch); otherwise the workload
-                is chunked by :data:`DEFAULT_MAX_BATCH_SIZE` alone.
-        """
-        self.clear()
-        ordered = list(queries)
-        if not (ordered and settlement_period_s):
-            self.extend(ordered)
-            return
-        start_s = ordered[0].arrival_time
-        epoch: List[Query] = []
-        last_slot: Optional[int] = None
-        for query in ordered:
-            slot = int((query.arrival_time - start_s) // settlement_period_s)
-            if slot != last_slot and epoch:
-                self.extend(epoch)
-                epoch = []
-            last_slot = slot
-            epoch.append(query)
-        self.extend(epoch)
-
     def extend(self, queries: Sequence[Query]) -> None:
         """Queue more upcoming arrivals behind the ones already primed.
 
         Append-only: unconsumed primed queries and evaluated windows stay
         as they are, and the new arrivals form epochs of their own (split
-        at :data:`DEFAULT_MAX_BATCH_SIZE`). A streamed run calls this with
-        each slice of its lookahead window, so consecutive slices are
-        scored together in one vectorized window when the first of them
-        arrives.
+        at :data:`DEFAULT_MAX_BATCH_SIZE`). A run calls this with each
+        slice of its lookahead window, so consecutive slices are scored
+        together in one vectorized window when the first of them arrives.
         """
         ordered = list(queries)
         for offset in range(0, len(ordered), self._max_batch):
@@ -203,16 +174,6 @@ class BatchScheduler:
             self._blocks = {}
             self._columns = {}
         return block.table, block.estimates, column
-
-    def clear(self) -> None:
-        """Drop all primed queries and evaluated blocks."""
-        self._epochs = {}
-        self._next_epoch = 0
-        self._epoch_of = {}
-        self._window_end = -1
-        self._blocks = {}
-        self._columns = {}
-        self._remaining = 0
 
     # -- internals -------------------------------------------------------------
 

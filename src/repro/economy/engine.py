@@ -309,36 +309,27 @@ class EconomyEngine:
     # -- main entry point --------------------------------------------------------------
 
     def prime_queries(self, queries: Sequence[Query],
-                      settlement_period_s: Optional[float] = None,
                       plan_tables: Optional[PlanTableCache] = None) -> None:
-        """Announce upcoming arrivals to the batch scheduler.
+        """Queue upcoming arrivals behind the primed ones.
 
-        Primed arrivals are scored in vectorized windows. A query that was
-        not primed (or a primed query arriving twice) is scored on its own
+        Append-only (see :meth:`BatchScheduler.extend`): a run hands over
+        each slice of its lookahead window, and the scheduler scores
+        consecutive slices in one vectorized window. A query that was not
+        primed (or a primed query arriving twice) is scored on its own
         when it arrives, with the identical outcome.
 
         Args:
             queries: the upcoming arrivals, in arrival order.
-            settlement_period_s: the simulation's settlement period, used
-                as the batching epoch grid.
             plan_tables: optional externally owned plan-table cache (e.g.
                 shared across benchmark repetitions to measure warm-table
-                throughput).
+                throughput). Passing one starts a fresh scheduler over it,
+                dropping anything primed before.
         """
         if plan_tables is not None:
             self._batch = BatchScheduler(
                 self._enumerator, self.execution_model, tables=plan_tables,
             )
             self._batch.attach_trace(self._trace)
-        self._batch.prime(queries, settlement_period_s)
-
-    def extend_queries(self, queries: Sequence[Query]) -> None:
-        """Queue more upcoming arrivals behind the primed ones.
-
-        Append-only (see :meth:`BatchScheduler.extend`): a streamed run
-        hands over each slice of its lookahead window, and the scheduler
-        scores consecutive slices in one vectorized window.
-        """
         self._batch.extend(queries)
 
     def process_query(self, query: Query,

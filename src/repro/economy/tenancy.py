@@ -618,6 +618,24 @@ class GenerativeTenantRegistry(TenantRegistry):
             balances[tenant_id] = self._states[tenant_id].account.credit
         return balances
 
+    def initial_credit_of(self, tenant_id: str) -> float:
+        """The seed credit of one tenant's wallet (O(1))."""
+        index = self._source.index_of(tenant_id)
+        if index is None:
+            return self.state(tenant_id).profile.initial_credit
+        return self._source.initial_credit_for(index)
+
+    def withdrawn_by_tenant(self) -> Dict[str, float]:
+        """Everything charged so far, per charged tenant (O(charged)):
+        materialised wallets, and churned ones as their archives froze."""
+        withdrawn = {tenant_id_for(index): charged
+                     for index, (_, charged) in self._archived.items()}
+        for tenant_id, state in self._states.items():
+            charged = state.account.total_withdrawn()
+            if charged > 0:
+                withdrawn[tenant_id] = charged
+        return withdrawn
+
     def live_tenant_count(self) -> int:
         """Tenants that have arrived and not churned (O(live))."""
         live = len(self._live_indices)

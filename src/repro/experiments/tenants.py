@@ -138,12 +138,13 @@ def _compiled_queries(config: TenantExperimentConfig):
 def build_population(config: TenantExperimentConfig) -> PopulatedWorkload:
     """Materialise the populated workload of a cell (deterministic).
 
-    Only the partitioned cache (:mod:`repro.distcache`), which slices a
-    whole workload per partition, needs this; every other path streams
-    the same population through :func:`cell_arrivals`. It includes the
-    SLA-tier rewrite when the config carries ``tenant_tiers``, and the
-    grammar-composed query stream (weighted classes, flash crowds) when
-    it carries a ``grammar``.
+    No run needs this: every cell, partitioned ones included, streams the
+    same population through :func:`cell_arrivals`. It builds the eager
+    reference the streamed cells are checked against (and the global
+    cache's peak-bytes probe in ``benchmarks/bench_distcache.py``). It
+    includes the SLA-tier rewrite when the config carries
+    ``tenant_tiers``, and the grammar-composed query stream (weighted
+    classes, flash crowds) when it carries a ``grammar``.
     """
     if config.grammar is not None:
         workload = _compiled_queries(config)

@@ -10,9 +10,8 @@ The hard invariant — enforced by the observer-purity test suite and the CI
 byte-diff — is that attaching recorders changes **nothing** about a run:
 recorders never read or advance RNG state, never touch account arithmetic,
 and only observe values the run computed anyway. Everything a recorder
-stores is plain picklable data; per-partition recorders are merged at
-the barrier loop (alongside the settlement checkpoints) with
-:meth:`TraceRecorder.absorb`.
+stores is plain picklable data; per-partition recorders are merged when
+the partitioned cell completes, with :meth:`TraceRecorder.absorb`.
 
 Emission is deterministic: :meth:`TraceRecorder.jsonl_lines` sorts records
 by ``(time_s, source, sequence)`` and serializes with sorted keys, so the

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.cache.manager import CacheManager
 from repro.workload.query import Query
@@ -72,20 +72,13 @@ class CachingScheme(abc.ABC):
     def process(self, query: Query) -> SchemeStep:
         """Serve one query and report its step record."""
 
-    def prime_workload(self, queries: Sequence[Query],
-                       settlement_period_s: Optional[float] = None) -> None:
-        """Announce the upcoming arrivals before the run starts.
+    def prime_workload(self, queries: Sequence[Query]) -> None:
+        """Announce upcoming arrivals behind the primed ones (append-only).
 
-        Purely advisory: the economic schemes use it to evaluate whole
-        epochs vectorized; the default (the bypass scheme) ignores it.
-        Outcomes must not depend on whether priming happened.
-        """
-
-    def extend_workload(self, queries: Sequence[Query]) -> None:
-        """Announce more arrivals behind the primed ones (append-only).
-
-        The streamed drivers call this with each slice of their lookahead
-        window; like :meth:`prime_workload` it is advisory.
+        The simulation drivers call this with each slice of their
+        lookahead window. Purely advisory: the economic schemes use it to
+        score the window vectorized; the default (the bypass scheme)
+        ignores it. Outcomes must not depend on whether priming happened.
         """
 
     @property

@@ -115,12 +115,8 @@ class EconomicScheme(CachingScheme):
         outcome = self._engine.process_query(query)
         return _step_from_outcome(outcome)
 
-    def prime_workload(self, queries: Sequence[Query],
-                       settlement_period_s: Optional[float] = None) -> None:
-        self._engine.prime_queries(queries, settlement_period_s)
-
-    def extend_workload(self, queries: Sequence[Query]) -> None:
-        self._engine.extend_queries(queries)
+    def prime_workload(self, queries: Sequence[Query]) -> None:
+        self._engine.prime_queries(queries)
 
     # -- market shocks ---------------------------------------------------------
 

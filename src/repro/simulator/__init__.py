@@ -29,7 +29,6 @@ from repro.simulator.simulation import (
     MultiSchemeSimulation,
     SimulationConfig,
     run_scheme,
-    trailing_interval_for,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "MultiSchemeSimulation",
     "SimulationConfig",
     "run_scheme",
-    "trailing_interval_for",
 ]

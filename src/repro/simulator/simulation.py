@@ -12,27 +12,36 @@ per-query work is unchanged — exactly the effect Figures 4 and 5 study.
 
 :class:`MultiSchemeSimulation` runs several schemes against the same
 workload on one shared clock in a single kernel run.
+
+Every run goes through one kernel assembly, :func:`drive`, fed by one
+:class:`~repro.simulator.streaming.StreamingArrivalSource`: a lazy
+population stream (:meth:`CloudSimulation.run_streamed`) and a
+materialised query list (:meth:`CloudSimulation.run`, wrapped by
+:func:`_list_arrivals`) arrive the same way, and the planner is primed
+from the source's lookahead window either way. The partitioned cache
+(:mod:`repro.distcache`) runs its cells on the same assembly with a
+router in place of the scheme tenants.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.policies.base import CachingScheme
 from repro.simulator.events import (
     MaintenanceSettlementEvent,
-    QueryArrivalEvent,
     StructureFailureCheckEvent,
-    TenantArrivalEvent,
-    TenantChurnEvent,
     WorkloadPhaseChangeEvent,
 )
 from repro.simulator.handlers import PeriodicRescheduler, SchemeTenant
 from repro.simulator.kernel import SimulationKernel
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.results import SimulationResult
+from repro.workload.generator import ArrivalEnvelope
+from repro.workload.population import TenantLifecycleMarker
 from repro.workload.query import Query
 
 
@@ -76,22 +85,6 @@ class SimulationConfig:
             raise SimulationError("failure_check_period_s must be positive")
 
 
-def trailing_interval_for(queries: Sequence[Query]) -> float:
-    """The exact trailing-settlement interval for a workload.
-
-    The run's measured duration should equal ``count * interarrival``:
-    the span covers ``count - 1`` gaps, so the trailing charge is the
-    empirical mean gap ``span / (count - 1)`` — exact for fixed arrivals
-    and unbiased for irregular ones (the old heuristic reused the last
-    *positive* gap, charging a stale interval when the final arrivals
-    were simultaneous).
-    """
-    if len(queries) < 2:
-        return 0.0
-    span = queries[-1].arrival_time - queries[0].arrival_time
-    return span / (len(queries) - 1)
-
-
 def _check_extent(query_count: int, config: SimulationConfig) -> None:
     if query_count <= 0:
         raise SimulationError("the workload contains no queries")
@@ -102,37 +95,92 @@ def _check_extent(query_count: int, config: SimulationConfig) -> None:
         )
 
 
-def _drive(schemes: Sequence[CachingScheme], config: SimulationConfig,
-           start_s: float, last_arrival_s: float, trailing_s: float,
-           feed, observers: Sequence = (),
-           shock_events: Sequence = ()) -> Dict[str, SimulationResult]:
-    """Shared kernel assembly: run ``schemes`` on one clock.
+def _item_time(item) -> float:
+    return (item.time_s if isinstance(item, TenantLifecycleMarker)
+            else item.arrival_time)
 
-    ``feed(kernel)`` registers and schedules the arrivals (the whole
-    materialised workload, or a streaming source); it runs after the
-    scheme tenants and the periodic rescheduler are registered and
-    before the observers, so every arrival handler precedes the
-    read-only observers in dispatch order.
+
+def _list_arrivals(queries: Sequence[Query],
+                   tenant_lifecycle: Sequence = ()
+                   ) -> Tuple[Iterable, ArrivalEnvelope]:
+    """A materialised workload as a time-ordered stream plus its envelope.
+
+    Lifecycle markers merge ahead of same-instant queries, the order a
+    :class:`~repro.workload.population.PopulationStream` yields them in,
+    and each list keeps its own order. The envelope is read off the
+    list's first and last query, so the trailing interval is the
+    empirical mean gap ``span / (count - 1)``.
+
+    Raises:
+        SimulationError: for an empty workload.
     """
-    end_s = last_arrival_s + (trailing_s if config.trailing_settlement
-                              else 0.0)
+    queries = list(queries)
+    if not queries:
+        raise SimulationError("the workload contains no queries")
+    envelope = ArrivalEnvelope(query_count=len(queries),
+                               start_s=queries[0].arrival_time,
+                               last_s=queries[-1].arrival_time)
+    stream: Iterable = queries
+    if tenant_lifecycle:
+        stream = heapq.merge(tenant_lifecycle, queries, key=_item_time)
+    return stream, envelope
+
+
+def drive(participants: Sequence, config: SimulationConfig, stream,
+          envelope: ArrivalEnvelope,
+          on_queries: Optional[Callable[[Sequence[Query]], None]] = None,
+          phase_changes: Sequence = (), observers: Sequence = (),
+          shock_events: Sequence = ()) -> None:
+    """The one kernel assembly every run goes through.
+
+    ``participants`` register their handlers first, in order (one
+    :class:`~repro.simulator.handlers.SchemeTenant` per scheme, or a
+    partitioned cell's router). Then come the periodic rescheduler and a
+    :class:`~repro.simulator.streaming.StreamingArrivalSource` over
+    ``stream``, a time-ordered iterable of queries and tenant lifecycle
+    markers. The source keeps a lookahead window of it scheduled and hands
+    every query it schedules to ``on_queries`` before the query can
+    dispatch; the drivers pass the planner's append-only priming hook
+    there. Observers register last.
+
+    ``envelope`` (:class:`~repro.workload.generator.ArrivalEnvelope`)
+    gives the run extent: the clock starts at its first arrival, and the
+    trailing settlement lands one mean inter-arrival interval after its
+    last. All horizon arithmetic uses the envelope's floats, the same
+    values the queries are stamped with, so settlement instants and shock
+    onsets fall exactly where the queries put them. Same-instant ties
+    between kinds go by event priority, and the stream keeps its own
+    order within a kind.
+    """
+    # Looked up at call time, so a test can substitute the source.
+    from repro.simulator.streaming import StreamingArrivalSource
+
+    _check_extent(envelope.query_count, config)
+    start_s = envelope.start_s
+    trailing_s = envelope.trailing_interval_s
+    end_s = envelope.last_s + (trailing_s if config.trailing_settlement
+                               else 0.0)
     kernel = SimulationKernel(start_time_s=start_s)
-    tenants: List[SchemeTenant] = []
-    for scheme in schemes:
-        tenant = SchemeTenant(
-            scheme,
-            MetricsCollector(scheme.name),
-            warmup_queries=config.warmup_queries,
-            start_time_s=start_s,
-        )
-        tenant.register(kernel)
-        tenants.append(tenant)
+    for participant in participants:
+        participant.register(kernel)
 
     rescheduler = PeriodicRescheduler(horizon_s=end_s)
     kernel.register(MaintenanceSettlementEvent, rescheduler)
     kernel.register(StructureFailureCheckEvent, rescheduler)
 
-    feed(kernel)
+    # The first refill schedules future events only, so priming the window
+    # before the observers register leaves their settled-state view
+    # unchanged.
+    source = StreamingArrivalSource(stream, on_queries=on_queries)
+    source.register(kernel)
+    source.prime_window(kernel)
+    # Phase boundaries are few, so they are scheduled up front.
+    kernel.schedule_all(
+        WorkloadPhaseChangeEvent(time_s=change.time_s,
+                                 phase_index=change.phase_index,
+                                 label=change.label)
+        for change in phase_changes
+    )
 
     # Observers register last: registration order is dispatch order, so an
     # observer of a settlement event always sees fully settled state. They
@@ -167,6 +215,33 @@ def _drive(schemes: Sequence[CachingScheme], config: SimulationConfig,
 
     kernel.run()
 
+
+def _run_schemes(schemes: Sequence[CachingScheme], stream,
+                 envelope: ArrivalEnvelope, config: SimulationConfig,
+                 phase_changes: Sequence = (), observers: Sequence = (),
+                 shock_events: Sequence = ()) -> Dict[str, SimulationResult]:
+    """Run ``schemes`` on one clock over one arrival stream.
+
+    Every scheme is primed from the lookahead window: each query the
+    source schedules is queued behind the unconsumed ones through
+    :meth:`~repro.policies.base.CachingScheme.prime_workload`, so the
+    planner scores the window in vectorized blocks while holding only
+    O(window) of the workload.
+    """
+    tenants = [
+        SchemeTenant(scheme, MetricsCollector(scheme.name),
+                     warmup_queries=config.warmup_queries,
+                     start_time_s=envelope.start_s)
+        for scheme in schemes
+    ]
+
+    def prime_schemes(queries: Sequence[Query]) -> None:
+        for scheme in schemes:
+            scheme.prime_workload(queries)
+
+    drive(tenants, config, stream, envelope, on_queries=prime_schemes,
+          phase_changes=phase_changes, observers=observers,
+          shock_events=shock_events)
     return {
         tenant.scheme.name: SimulationResult(
             summary=tenant.collector.summary(),
@@ -174,92 +249,6 @@ def _drive(schemes: Sequence[CachingScheme], config: SimulationConfig,
         )
         for tenant in tenants
     }
-
-
-def _run_tenants(schemes: Sequence[CachingScheme], queries: Sequence[Query],
-                 config: SimulationConfig,
-                 phase_changes: Sequence = (),
-                 tenant_lifecycle: Sequence = (),
-                 observers: Sequence = (),
-                 shock_events: Sequence = ()) -> Dict[str, SimulationResult]:
-    """Run ``schemes`` over one materialised workload and clock."""
-    query_list = list(queries)
-    _check_extent(len(query_list), config)
-    # Economic schemes evaluate whole settlement epochs vectorized; the
-    # bypass scheme ignores the priming (see CachingScheme.prime_workload).
-    for scheme in schemes:
-        scheme.prime_workload(
-            query_list, settlement_period_s=config.settlement_period_s
-        )
-
-    def feed(kernel: SimulationKernel) -> None:
-        kernel.schedule_all(
-            QueryArrivalEvent(time_s=query.arrival_time, query=query)
-            for query in query_list
-        )
-        for change in phase_changes:
-            kernel.schedule(WorkloadPhaseChangeEvent(
-                time_s=change.time_s,
-                phase_index=change.phase_index,
-                label=change.label,
-            ))
-        for marker in tenant_lifecycle:
-            event_type = (TenantArrivalEvent if marker.kind == "arrival"
-                          else TenantChurnEvent)
-            kernel.schedule(event_type(
-                time_s=marker.time_s, tenant_id=marker.tenant_id,
-            ))
-
-    return _drive(schemes, config, query_list[0].arrival_time,
-                  query_list[-1].arrival_time,
-                  trailing_interval_for(query_list), feed,
-                  observers=observers, shock_events=shock_events)
-
-
-def _run_tenants_streamed(schemes: Sequence[CachingScheme], stream,
-                          envelope, config: SimulationConfig,
-                          observers: Sequence = (),
-                          shock_events: Sequence = ()
-                          ) -> Dict[str, SimulationResult]:
-    """The :func:`_run_tenants` assembly over a lazy arrival stream.
-
-    ``stream`` yields populated queries and lifecycle markers in time
-    order (a :class:`~repro.workload.population.PopulationStream`);
-    ``envelope`` (:class:`~repro.workload.generator.ArrivalEnvelope`)
-    supplies the run extent the eager path reads off the materialised
-    list. All horizon arithmetic uses the envelope's floats — the same
-    values the stream's queries are stamped with — so settlement instants,
-    the trailing charge, and shock onsets are bitwise the eager ones, and
-    every same-instant tie resolves identically (the stream preserves
-    insertion order; cross-kind ties go by event priority, which never
-    depended on scheduling order).
-
-    The schemes are primed from the lookahead window: every query the
-    source schedules is queued behind the unconsumed ones through
-    :meth:`~repro.policies.base.CachingScheme.extend_workload`, so the
-    planner scores the window in vectorized blocks while holding only
-    O(window) of the workload.
-    """
-    from repro.simulator.streaming import StreamingArrivalSource
-
-    _check_extent(envelope.query_count, config)
-
-    def extend(queries: Sequence[Query]) -> None:
-        for scheme in schemes:
-            scheme.extend_workload(queries)
-
-    source = StreamingArrivalSource(stream, on_queries=extend)
-
-    def feed(kernel: SimulationKernel) -> None:
-        source.register(kernel)
-        # Refilling schedules future events only, so priming the window
-        # before the observers register leaves their settled-state view
-        # unchanged.
-        source.prime(kernel)
-
-    return _drive(schemes, config, envelope.start_s, envelope.last_s,
-                  envelope.trailing_interval_s, feed,
-                  observers=observers, shock_events=shock_events)
 
 
 class CloudSimulation:
@@ -282,6 +271,9 @@ class CloudSimulation:
             shock_events: Sequence = ()) -> SimulationResult:
         """Process all queries in arrival order and return the result.
 
+        The list (merged with ``tenant_lifecycle``) is fed to the kernel as
+        a time-ordered stream, exactly like :meth:`run_streamed`'s.
+
         Args:
             queries: the workload, in arrival order.
             phase_changes: optional workload phase boundaries (see
@@ -300,9 +292,9 @@ class CloudSimulation:
                 invalidations, provider price shocks, tenant budget
                 squeezes.
         """
-        results = _run_tenants([self._scheme], queries, self._config,
-                               phase_changes=phase_changes,
-                               tenant_lifecycle=tenant_lifecycle,
+        stream, envelope = _list_arrivals(queries, tenant_lifecycle)
+        results = _run_schemes([self._scheme], stream, envelope,
+                               self._config, phase_changes=phase_changes,
                                observers=observers,
                                shock_events=shock_events)
         return results[self._scheme.name]
@@ -325,13 +317,12 @@ class CloudSimulation:
                 so no queries are materialised).
 
         Returns:
-            The same :class:`~repro.simulator.results.SimulationResult` an
-            eager :meth:`run` over the materialised stream would return,
-            bit for bit.
+            The same :class:`~repro.simulator.results.SimulationResult`
+            :meth:`run` returns over the materialised stream, bit for bit.
         """
-        results = _run_tenants_streamed([self._scheme], stream, envelope,
-                                        self._config, observers=observers,
-                                        shock_events=shock_events)
+        results = _run_schemes([self._scheme], stream, envelope,
+                               self._config, observers=observers,
+                               shock_events=shock_events)
         return results[self._scheme.name]
 
 
@@ -365,9 +356,9 @@ class MultiSchemeSimulation:
             observers: Sequence = (),
             shock_events: Sequence = ()) -> Dict[str, SimulationResult]:
         """Run every scheme over ``queries``; results keyed by scheme name."""
-        return _run_tenants(self._schemes, queries, self._config,
+        stream, envelope = _list_arrivals(queries, tenant_lifecycle)
+        return _run_schemes(self._schemes, stream, envelope, self._config,
                             phase_changes=phase_changes,
-                            tenant_lifecycle=tenant_lifecycle,
                             observers=observers,
                             shock_events=shock_events)
 

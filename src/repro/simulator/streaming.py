@@ -1,23 +1,24 @@
-"""A kernel-side arrival source that feeds events from a lazy stream.
+"""The kernel-side arrival source every run is fed by.
 
-The eager drivers schedule every query and lifecycle marker up front —
+Scheduling every query and lifecycle marker up front would cost an
 O(workload) kernel heap before the first event dispatches. This module
-keeps only a small *lookahead window* of the stream inside the kernel:
+keeps only a small *lookahead window* of the arrivals inside the kernel:
 
-:class:`StreamingArrivalSource` wraps a time-ordered iterator of populated
-queries and lifecycle markers (a
-:class:`~repro.workload.population.PopulationStream`), primes the first
-``lookahead`` events, and registers itself as one more handler on exactly
-the event types it emits. Every time one of its own events dispatches it
-tops the window back up, so the kernel's frontier always holds the next
-stream items until the stream is exhausted — the queue can never starve
-while input remains.
+:class:`StreamingArrivalSource` wraps a time-ordered iterator of queries
+and lifecycle markers (a
+:class:`~repro.workload.population.PopulationStream`, or a materialised
+list wrapped by :func:`repro.simulator.simulation._list_arrivals`), primes
+the first ``lookahead`` events, and registers itself as one more handler
+on exactly the event types it emits. Every time one of its own events
+dispatches it tops the window back up, so the kernel's frontier always
+holds the next stream items until the stream is exhausted — the queue
+can never starve while input remains.
 
-Dispatch order is identical to the eager path by construction:
+Dispatch order is the order scheduling everything up front would give:
 
 * the stream yields items in non-decreasing time order and the source
   schedules them in stream order, so same-``(time, priority)`` ties keep
-  the eager insertion order;
+  the stream's order;
 * cross-kind ties are sequenced by the event priority ranks
   (tenant arrival 4 < tenant churn 6 < settlement 10 < query 30), which
   don't care when an event entered the queue.
@@ -26,9 +27,9 @@ The source never mutates simulation state — it only converts stream items
 into scheduled events — so it composes with observers and the purity
 contracts unchanged. Every query it schedules is also handed, in stream
 order, to an optional ``on_queries`` callback before it can dispatch; the
-drivers pass the schemes' append-only priming hook, so the batch planner
-scores the lookahead window in vectorized blocks instead of one query at
-a time.
+drivers pass the schemes' append-only priming hook (a partitioned cell
+routes each query to its partition's), so the batch planner scores the
+lookahead window in vectorized blocks instead of one query at a time.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class StreamingArrivalSource:
         kernel.register(TenantArrivalEvent, self)
         kernel.register(TenantChurnEvent, self)
 
-    def prime(self, kernel: SimulationKernel) -> None:
+    def prime_window(self, kernel: SimulationKernel) -> None:
         """Schedule the first lookahead window; call once before ``run()``."""
         if self._primed:
             raise SimulationError("a StreamingArrivalSource primes only once")

@@ -131,9 +131,11 @@ class ArrivalEnvelope:
     def trailing_interval_s(self) -> float:
         """The mean inter-arrival time (the trailing-settlement delay).
 
-        Mirrors :func:`repro.simulator.simulation.trailing_interval_for`
-        over a materialised list: span over ``count - 1`` gaps, 0 for a
-        single query.
+        The run's measured duration should equal ``count * interarrival``:
+        the span covers ``count - 1`` gaps, so the trailing charge is the
+        empirical mean gap ``span / (count - 1)`` — exact for fixed
+        arrivals and unbiased for irregular ones. A single query has no
+        gap, so its trailing interval is 0.
         """
         if self.query_count < 2:
             return 0.0

@@ -92,16 +92,19 @@ def assert_books_equal(oracle, engine):
     query_count=st.integers(min_value=1, max_value=60),
     interarrival_s=st.sampled_from([0.5, 1.0, 5.0, 30.0]),
     enum_config=enumerator_configs,
-    settlement_period_s=st.sampled_from([None, 10.0, 60.0]),
+    slice_size=st.sampled_from([None, 7, 25]),
 )
 def test_engine_stream_ledger_and_regret_bitwise_equal(
         execution_model, structure_costs, seed, query_count, interarrival_s,
-        enum_config, settlement_period_s):
+        enum_config, slice_size):
     queries = WorkloadGenerator(WorkloadSpec(
         query_count=query_count, interarrival_s=interarrival_s, seed=seed,
     )).generate()
     oracle, engine = make_pair(execution_model, structure_costs, enum_config)
-    engine.prime_queries(queries, settlement_period_s=settlement_period_s)
+    # Whole, or in slices as a run's lookahead refills hand them over.
+    step = slice_size or len(queries)
+    for offset in range(0, len(queries), step):
+        engine.prime_queries(queries[offset:offset + step])
     for query in queries:
         process_both(oracle, engine, query)
     assert_books_equal(oracle, engine)
@@ -126,7 +129,7 @@ def test_mid_run_invalidation_stays_bitwise_equal(
     )).generate()
     cut = min(invalidate_after, query_count - 1)
     oracle, engine = make_pair(execution_model, structure_costs, enum_config)
-    engine.prime_queries(queries, settlement_period_s=None)
+    engine.prime_queries(queries)
     for index, query in enumerate(queries):
         if index == cut:
             now = query.arrival_time

@@ -45,6 +45,32 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenario", "--arrival", "tsunami"])
 
+    def test_placement_choices_match_the_runner(self):
+        from repro.cli import _PLACEMENT_MODES
+        from repro.distcache import PLACEMENT_MODES
+
+        assert _PLACEMENT_MODES == PLACEMENT_MODES
+
+    def test_startup_imports_no_subcommand_stack(self):
+        # Each subcommand imports its own stack when it runs; parsing a
+        # command line loads none of them.
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        probe = ("import sys\n"
+                 "from repro.cli import build_parser\n"
+                 "build_parser().parse_args(['tenants'])\n"
+                 "print(sorted(name for name in sys.modules if name in "
+                 "('multiprocessing', 'repro.distcache', 'repro.experiments',"
+                 " 'repro.obs', 'repro.workload.grammar')))\n")
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, check=True)
+        assert completed.stdout.decode().strip() == "[]"
+
 
 class TestCommands:
     def test_describe_prints_the_schema(self, capsys):
@@ -60,12 +86,12 @@ class TestCommands:
 
     def test_figure_command_with_a_tiny_profile(self, capsys, monkeypatch):
         # Shrink the quick profile so the CLI path stays fast in unit tests.
-        import repro.cli as cli
+        from repro.experiments import config
         from repro.experiments.config import ExperimentProfile
 
         tiny = ExperimentProfile(name="cli-tiny", query_count=30,
                                  interarrival_times_s=(1.0,))
-        monkeypatch.setitem(cli._PROFILES, "quick", tiny)
+        monkeypatch.setattr(config, "QUICK_PROFILE", tiny)
         clear_grid_cache()
         assert main(["figure4", "--profile", "quick"]) == 0
         assert "Figure 4" in capsys.readouterr().out
@@ -73,13 +99,13 @@ class TestCommands:
         assert "Figure 5" in capsys.readouterr().out
 
     def test_parallel_figure_output_matches_sequential(self, capsys, monkeypatch):
-        import repro.cli as cli
+        from repro.experiments import config
         from repro.experiments.config import ExperimentProfile
 
         tiny = ExperimentProfile(name="cli-tiny-jobs", query_count=20,
                                  interarrival_times_s=(1.0,),
                                  schemes=("bypass", "econ-col"))
-        monkeypatch.setitem(cli._PROFILES, "quick", tiny)
+        monkeypatch.setattr(config, "QUICK_PROFILE", tiny)
         clear_grid_cache()
         assert main(["figure4", "--profile", "quick"]) == 0
         sequential = capsys.readouterr().out

@@ -306,8 +306,11 @@ class TestHashModeRegression:
         """Hash runs must not pay for (or pickle) the placement tally."""
         from repro.distcache import DistCacheRunner
 
+        from repro.workload.population import GenerativeProfileSource
+
         runner = DistCacheRunner(2, compare_baseline=False)
-        schemes = runner._build_schemes(CONFIG, profiles=())
+        schemes = runner._build_schemes(
+            CONFIG, source=GenerativeProfileSource(CONFIG.population_spec()))
         for scheme in schemes:
             engine = scheme.engine
             assert engine._record_bids is False

@@ -88,7 +88,10 @@ class TestOutcomeParity:
         queries = workload()
         oracle = make_oracle(execution_model, structure_costs)
         engine = make_engine(execution_model, structure_costs)
-        engine.prime_queries(queries, settlement_period_s=50.0)
+        # Primed in slices, as a run's lookahead refills hand them over:
+        # every slice is an epoch of its own, scored in one window.
+        for offset in range(0, len(queries), 7):
+            engine.prime_queries(queries[offset:offset + 7])
         for query in queries:
             a = oracle.process_query(query)
             b = engine.process_query(query)
@@ -105,7 +108,7 @@ class TestOutcomeParity:
         # Prime only a prefix; the rest are scored one query at a time,
         # with outcomes identical to the oracle's.
         if primed:
-            engine.prime_queries(queries[:primed], settlement_period_s=None)
+            engine.prime_queries(queries[:primed])
         for query in queries:
             assert oracle.process_query(query) == engine.process_query(query)
         assert single_evaluations == [query.query_id
@@ -127,7 +130,7 @@ class TestOutcomeParity:
                 stream.append(repeats[index])
         oracle = make_oracle(execution_model, structure_costs)
         engine = make_engine(execution_model, structure_costs)
-        engine.prime_queries(queries, settlement_period_s=None)
+        engine.prime_queries(queries)
         for query in stream:
             assert oracle.process_query(query) == engine.process_query(query)
         assert single_evaluations == [query.query_id for query in repeats]
@@ -153,7 +156,7 @@ class TestBatchScheduler:
     def test_each_query_handed_out_once(self, execution_model):
         scheduler = self.make(execution_model)
         queries = workload(count=8)
-        scheduler.prime(queries)
+        scheduler.extend(queries)
         assert scheduler.pending_queries == 8
         for query in queries:
             assert scheduler.view_for(query) is not None
@@ -162,16 +165,19 @@ class TestBatchScheduler:
         table, estimates, column = scheduler.view_for(queries[0])
         assert column == 0 and estimates.query_count == 1
 
-    def test_settlement_period_splits_epochs(self, execution_model):
-        scheduler = self.make(execution_model)
-        queries = workload(count=30, interarrival=5.0)
-        scheduler.prime(queries, settlement_period_s=25.0)
-        assert len(scheduler._epochs) > 1
+    def test_extend_splits_epochs_at_the_batch_bound(self, execution_model):
+        enumerator = PlanEnumerator(execution_model,
+                                    candidate_indexes=CANDIDATES)
+        scheduler = BatchScheduler(enumerator, execution_model,
+                                   max_batch_size=10)
+        scheduler.extend(workload(count=25, interarrival=5.0))
+        assert [len(epoch) for epoch in scheduler._epochs.values()] \
+            == [10, 10, 5]
 
     def test_drained_scheduler_holds_no_arrays(self, execution_model):
         scheduler = self.make(execution_model)
         queries = workload(count=6)
-        scheduler.prime(queries)
+        scheduler.extend(queries)
         for query in queries:
             scheduler.view_for(query)
         assert scheduler._blocks == {}
@@ -182,19 +188,10 @@ class TestBatchScheduler:
         with pytest.raises(ValueError):
             BatchScheduler(enumerator, execution_model, max_batch_size=0)
 
-    def test_clear_forgets_priming(self, execution_model):
-        scheduler = self.make(execution_model)
-        queries = workload(count=5)
-        scheduler.prime(queries)
-        scheduler.clear()
-        assert scheduler.pending_queries == 0
-        assert scheduler._blocks == {}
-        assert scheduler.view_for(queries[0])[2] == 0
-
     def test_single_query_leaves_the_window_alone(self, execution_model):
         scheduler = self.make(execution_model)
         queries = workload(count=8)
-        scheduler.prime(queries[:4])
+        scheduler.extend(queries[:4])
         scheduler.view_for(queries[0])
         blocks, remaining = dict(scheduler._blocks), scheduler._remaining
         table, estimates, column = scheduler.view_for(queries[6])
@@ -206,7 +203,7 @@ class TestBatchScheduler:
             self, execution_model, single_evaluations):
         scheduler = self.make(execution_model)
         queries = workload(count=8)
-        scheduler.prime(queries[:4])
+        scheduler.extend(queries[:4])
         scheduler.view_for(queries[0])
         scheduler.view_for(queries[1])
         blocks = dict(scheduler._blocks)
@@ -253,6 +250,6 @@ class TestBatchScheduler:
         scheduler.view_for(first)
         with pytest.raises(PlanningError, match="different shape"):
             scheduler.view_for(impostor)
-        scheduler.prime([first, impostor])
+        scheduler.extend([first, impostor])
         with pytest.raises(PlanningError, match="different shape"):
             scheduler.view_for(first)

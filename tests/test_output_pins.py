@@ -8,7 +8,13 @@ still had a separate scalar planning path, and the fidelity and
 all-scheme shocks digests while population cells still had an eager
 (materialise-then-replay) arrival path, which was the default then; they
 pin that the one remaining planner and the one streamed arrival path
-print exactly the same bytes. Each run is a fresh ``python -m repro.cli``
+print exactly the same bytes. The partitioned tenants pins (churn over
+three partitions, a settlement period landing on the end instant, a
+single query) and the scenario pins (phase changes with failure checks,
+shocks with strict maintenance) were recorded while partitioned cells
+still replayed their own hand-rolled epoch loop and ``run(list)``
+scheduled its whole list up front; they pin that the one kernel assembly
+prints the same bytes. Each run is a fresh ``python -m repro.cli``
 process, as a user would start it.
 """
 

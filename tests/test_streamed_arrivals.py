@@ -371,9 +371,9 @@ class TestStreamingArrivalSource:
         source = StreamingArrivalSource(self._stream(), lookahead=8)
         kernel = SimulationKernel()
         source.register(kernel)
-        source.prime(kernel)
+        source.prime_window(kernel)
         with pytest.raises(SimulationError):
-            source.prime(kernel)
+            source.prime_window(kernel)
 
     def test_prime_schedules_only_the_window(self):
         from repro.simulator.kernel import SimulationKernel
@@ -382,7 +382,7 @@ class TestStreamingArrivalSource:
                                         lookahead=8)
         kernel = SimulationKernel()
         source.register(kernel)
-        source.prime(kernel)
+        source.prime_window(kernel)
         assert source.events_emitted == 8
 
     def test_run_drains_the_whole_stream(self):
@@ -392,7 +392,7 @@ class TestStreamingArrivalSource:
         source = StreamingArrivalSource(stream, lookahead=4)
         kernel = SimulationKernel()
         source.register(kernel)
-        source.prime(kernel)
+        source.prime_window(kernel)
         kernel.run()
         # 4 initial arrivals + 30 queries, all through a 4-item window.
         assert source.events_emitted == 34
@@ -567,8 +567,12 @@ class TestStreamedCellProperty:
 
 
 class TestBoundedMaterialization:
-    def test_registry_stays_bounded_under_churn(self):
-        """Resident states stay O(live tenants) while the population grows."""
+    def test_registry_stays_bounded_under_churn(self, monkeypatch):
+        """Resident states stay O(live tenants) while the population grows,
+        in an unpartitioned cell and in every partition of a partitioned
+        one (which never materialises or registers the population)."""
+        from repro.distcache import DistCacheRunner
+        from repro.experiments import tenants as tenants_module
         from repro.policies.economic import EconomicSchemeConfig
         from repro.simulator.simulation import (CloudSimulation,
                                                 SimulationConfig)
@@ -595,10 +599,34 @@ class TestBoundedMaterialization:
         # Live tenants never exceed the concurrent population, and the
         # resident-state high-water mark stays pinned to it (one wave may
         # overlap while arrival/churn markers share an instant).
-        assert registry.live_tenant_count() == spec.tenant_count
         wave = max(1, int(round(spec.churn_fraction * spec.tenant_count)))
-        assert registry.peak_materialized <= spec.tenant_count + wave
-        assert registry.peak_materialized < stream.tenants_minted
+
+        def assert_bounded(registry, minted):
+            assert registry.live_tenant_count() == spec.tenant_count
+            assert registry.peak_materialized <= spec.tenant_count + wave
+            assert registry.peak_materialized < minted
+
+        assert_bounded(registry, stream.tenants_minted)
+
+        def materialised(*args, **kwargs):
+            raise AssertionError("the partitioned cell must stream")
+
+        monkeypatch.setattr(tenants_module, "build_population", materialised)
+        monkeypatch.setattr(TenantRegistry, "register_all", materialised)
+        built = []
+        build_schemes = DistCacheRunner._build_schemes
+
+        def recorded(runner, *args, **kwargs):
+            schemes = build_schemes(runner, *args, **kwargs)
+            built.extend(schemes)
+            return schemes
+
+        monkeypatch.setattr(DistCacheRunner, "_build_schemes", recorded)
+        report = DistCacheRunner(2, compare_baseline=False).run_cell(config)
+        assert report.cell.population_size == stream.tenants_minted
+        assert len(built) == 2
+        for scheme in built:
+            assert_bounded(scheme.tenant_registry, stream.tenants_minted)
 
 
 class TestStreamedGauges:
