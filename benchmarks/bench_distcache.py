@@ -240,11 +240,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--settlement-period", type=float, default=30.0)
     parser.add_argument("--output", default=DEFAULT_OUTPUT)
-    parser.add_argument("--history", default=None, metavar="DIR",
-                        help="additionally append a bench-history record "
-                             "(git sha + config hash + headline metrics) "
-                             "to DIR/<benchmark>.jsonl for "
-                             "'repro report --baseline'")
     args = parser.parse_args(argv)
     report = run_benchmark(
         tenant_count=args.tenants, query_count=args.queries,
@@ -252,11 +247,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed=args.seed, settlement_period_s=args.settlement_period,
     )
     path = write_report(report, args.output)
-    if args.history:
-        from repro.obs.history import append_bench_history
-
-        history_path = append_bench_history(report, args.history)
-        print(f"history appended to {history_path}")
     for run in report["runs"]:
         print(f"{run['benchmark_mode']:>11} x{run['partitions']}: "
               f"{run['elapsed_s']:.2f}s ({run['queries_per_s']:.0f} q/s, "

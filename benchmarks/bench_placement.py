@@ -135,11 +135,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--settlement-period", type=float, default=30.0)
     parser.add_argument("--handoff-threshold", type=float, default=0.0)
     parser.add_argument("--output", default=DEFAULT_OUTPUT)
-    parser.add_argument("--history", default=None, metavar="DIR",
-                        help="additionally append a bench-history record "
-                             "(git sha + config hash + headline metrics) "
-                             "to DIR/<benchmark>.jsonl for "
-                             "'repro report --baseline'")
     args = parser.parse_args(argv)
     report = run_benchmark(
         tenant_count=args.tenants, query_count=args.queries,
@@ -148,11 +143,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         handoff_threshold=args.handoff_threshold,
     )
     path = write_report(report, args.output)
-    if args.history:
-        from repro.obs.history import append_bench_history
-
-        history_path = append_bench_history(report, args.history)
-        print(f"history appended to {history_path}")
     for run in report["runs"]:
         print(f"{run['placement']:>8}: "
               f"remote hits {run['remote_hits']} "

@@ -146,22 +146,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--scheme", default="econ-cheap")
     parser.add_argument("--repetitions", type=int, default=3)
     parser.add_argument("--output", default=DEFAULT_OUTPUT)
-    parser.add_argument("--history", default=None, metavar="DIR",
-                        help="additionally append a bench-history record "
-                             "(git sha + config hash + headline metrics) "
-                             "to DIR/<benchmark>.jsonl for "
-                             "'repro report --baseline'")
     args = parser.parse_args(argv)
     report = run_benchmark(
         query_count=args.queries, interarrival_s=args.interarrival,
         seed=args.seed, scheme=args.scheme, repetitions=args.repetitions,
     )
     path = write_report(report, args.output)
-    if args.history:
-        from repro.obs.history import append_bench_history
-
-        history_path = append_bench_history(report, args.history)
-        print(f"history appended to {history_path}")
     for run in report["runs"]:
         print(f"{run['benchmark_mode']:>12}: {run['elapsed_s']:.3f}s "
               f"({run['queries_per_s']:.0f} q/s)")

@@ -159,11 +159,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--schemes", default=",".join(DEFAULT_SCHEMES))
     parser.add_argument("--repetitions", type=int, default=3)
     parser.add_argument("--output", default=DEFAULT_OUTPUT)
-    parser.add_argument("--history", default=None, metavar="DIR",
-                        help="additionally append a bench-history record "
-                             "(git sha + config hash + headline metrics) "
-                             "to DIR/<benchmark>.jsonl for "
-                             "'repro report --baseline'")
     args = parser.parse_args(argv)
     schemes = [name.strip() for name in args.schemes.split(",")
                if name.strip()]
@@ -175,11 +170,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         repetitions=args.repetitions,
     )
     path = write_report(report, args.output)
-    if args.history:
-        from repro.obs.history import append_bench_history
-
-        history_path = append_bench_history(report, args.history)
-        print(f"history appended to {history_path}")
     for run in report["runs"]:
         ratio = run["cost_ratio"]
         print(f"{run['scheme']:>10}: clean {run['clean_queries_per_s']:.0f} "

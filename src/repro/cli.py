@@ -364,20 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "report-artifacts)")
     report.add_argument("--force", action="store_true",
                         help="overwrite existing report artifacts")
-    report.add_argument("--baseline", default=None, metavar="DIR",
-                        help="bench-history directory (benchmarks/history) "
-                             "to compare against: each bench's headline "
-                             "metrics are diffed against its newest "
-                             "comparable record (same config hash) and the "
-                             "summary table gains delta + perf-gate columns")
-    report.add_argument("--warn-slowdown", type=_nonnegative_float,
-                        default=0.10, metavar="FRAC",
-                        help="relative regression at which a baseline delta "
-                             "warns (default: 0.10)")
-    report.add_argument("--fail-slowdown", type=_nonnegative_float,
-                        default=0.25, metavar="FRAC",
-                        help="relative regression at which a baseline delta "
-                             "fails (default: 0.25)")
     report.add_argument("--grids", action="store_true",
                         help="additionally run the headline/figure4/figure5 "
                              "grid tables and fold them into the report's "
@@ -773,18 +759,6 @@ def _report_command(args: argparse.Namespace) -> str:
     bench_paths = [path for path in artifacts
                    if not path.endswith(".jsonl")]
     trace_paths = [path for path in artifacts if path.endswith(".jsonl")]
-    gates = None
-    if args.baseline is not None:
-        if not os.path.isdir(args.baseline):
-            raise ReproError(
-                f"--baseline: directory {args.baseline!r} does not exist")
-        from repro.obs.history import RegressionGates
-
-        try:
-            gates = RegressionGates(warn_slowdown=args.warn_slowdown,
-                                    fail_slowdown=args.fail_slowdown)
-        except ValueError as error:
-            raise ReproError(f"--warn-slowdown/--fail-slowdown: {error}")
     grid_tables = None
     grid_profile = None
     if args.grids:
@@ -803,8 +777,6 @@ def _report_command(args: argparse.Namespace) -> str:
     targets = write_report_artifacts(bench_paths, args.out,
                                      trace_paths=trace_paths,
                                      force=args.force,
-                                     baseline_dir=args.baseline,
-                                     gates=gates,
                                      grid_tables=grid_tables,
                                      grid_profile=grid_profile)
     with open(targets["markdown"], "r", encoding="utf-8") as handle:

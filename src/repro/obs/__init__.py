@@ -1,6 +1,6 @@
 """Zero-perturbation observability: traces, metrics, manifests, reports.
 
-The subsystem has five layers (see ``docs/observability.md``):
+The subsystem has four layers (see ``docs/observability.md``):
 
 * :mod:`repro.obs.trace` — the :class:`TraceRecorder` and the kernel
   observer, attached through the existing ``run(observers=...)`` hook plus
@@ -17,28 +17,11 @@ The subsystem has five layers (see ``docs/observability.md``):
   every trace/metrics/report artifact (version, seed, frozen-config hash,
   scheme set, interpreter versions, git sha, mode flags, per-phase
   wall-clock, the process tree's peak RSS, optional cProfile hotspots).
-* :mod:`repro.obs.history` — the append-only bench history store
-  (``benchmarks/history/*.jsonl``) and the regression-delta math behind
-  ``repro report --baseline``.
 * :mod:`repro.obs.report` — the ``repro report`` pipeline: schema-validated
   ingest of the ``BENCH_*.json`` perf history plus trace/metrics artifacts,
-  optional bench-to-bench regression gates against the history store,
   rendered into versioned JSON + markdown.
 """
 
-from repro.obs.history import (
-    HISTORY_SCHEMA_VERSION,
-    HistoryRecord,
-    MetricDelta,
-    RegressionGates,
-    append_bench_history,
-    bench_config_hash,
-    compute_deltas,
-    history_metrics,
-    latest_comparable,
-    load_history,
-    record_from_bench,
-)
 from repro.obs.manifest import (
     RunManifest,
     build_manifest,
@@ -62,7 +45,6 @@ from repro.obs.report import (
 )
 from repro.obs.schema import (
     validate_bench,
-    validate_history_record,
     validate_report,
 )
 from repro.obs.trace import (
@@ -84,17 +66,6 @@ __all__ = [
     "config_hash",
     "peak_rss_bytes",
     "profile_hotspots",
-    "HISTORY_SCHEMA_VERSION",
-    "HistoryRecord",
-    "MetricDelta",
-    "RegressionGates",
-    "append_bench_history",
-    "bench_config_hash",
-    "compute_deltas",
-    "history_metrics",
-    "latest_comparable",
-    "load_history",
-    "record_from_bench",
     "BENCH_NAMES",
     "REPORT_SCHEMA_VERSION",
     "BenchIngest",
@@ -102,6 +73,5 @@ __all__ = [
     "render_report",
     "write_report_artifacts",
     "validate_bench",
-    "validate_history_record",
     "validate_report",
 ]

@@ -10,7 +10,7 @@ headline, and renders two artifacts:
   (the report validates itself before writing; a self-check failure is a
   hard error, unlike ingest problems which are fail-soft warnings).
 * ``report.md`` — a manifest-style markdown summary table covering every
-  expected bench file, flagging missing/legacy/invalid ones, followed by
+  expected bench file, flagging missing/unreadable/invalid ones, followed by
   one headline section per benchmark.
 
 A ``report.manifest.json`` run manifest is written next to them.
@@ -23,34 +23,16 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.history import (
-    RegressionGates,
-    bench_config_hash,
-    compute_deltas,
-    history_metrics,
-    latest_comparable,
-    load_history,
-)
 from repro.obs.manifest import build_manifest
 from repro.obs.metrics import METRICS_SCHEMA_VERSION
 from repro.obs.schema import BENCH_GATES, validate_bench, validate_report
 from repro.obs.trace import TRACE_SCHEMA_VERSION
 
 #: Bumped whenever report.json's shape changes incompatibly.
-#: v2 added the optional ``baseline`` (bench-to-bench regression deltas)
-#: and ``grids`` (figure/headline tables) sections plus the delta/perf
-#: summary columns rendered when a baseline is supplied.
-REPORT_SCHEMA_VERSION = 2
-
-#: The one metric per benchmark kind the summary table's delta column
-#: shows (the full per-metric delta list lives in the ``baseline``
-#: section). Names match :data:`repro.obs.history.METRIC_DIRECTIONS`.
-PRIMARY_METRIC: Dict[str, str] = {
-    "distcache": "best_queries_per_s",
-    "placement": "remote_surcharge_dollars",
-    "planner": "batched_cold_queries_per_s",
-    "shocks": "clean_queries_per_s",
-}
+#: v2 added the optional ``grids`` (figure/headline tables) section; v3
+#: dropped v2's optional ``baseline`` section and its delta/perf summary
+#: columns (regressions are caught by ``benchmarks/perf_ab.py``).
+REPORT_SCHEMA_VERSION = 3
 
 #: The four benchmark kinds the perf history is expected to cover,
 #: mapped to their canonical checked-in file names.
@@ -68,6 +50,7 @@ class BenchIngest:
 
     kind: str
     path: str
+    supplied: bool = False
     found: bool = False
     valid: bool = False
     problems: List[str] = field(default_factory=list)
@@ -75,9 +58,12 @@ class BenchIngest:
 
     @property
     def status(self) -> str:
-        """``ok`` / ``invalid`` / ``missing`` for the summary table."""
-        if not self.found:
+        """``ok`` / ``invalid`` / ``unreadable`` / ``missing`` for the
+        summary table (``missing``: no path was supplied for the kind)."""
+        if not self.supplied:
             return "missing"
+        if not self.found:
+            return "unreadable"
         return "ok" if self.valid else "invalid"
 
 
@@ -95,8 +81,9 @@ def ingest_bench_files(paths: Sequence[str]) -> List[BenchIngest]:
 
     Every expected benchmark kind yields exactly one :class:`BenchIngest`
     (marked missing when no supplied path covers it), so the summary table
-    always renders all four rows. Unreadable or legacy files are reported
-    as problems, never raised.
+    always renders all four rows; a later path of an already-covered kind
+    is returned after them. Unreadable or legacy files are reported as
+    problems, never raised.
     """
     by_kind: Dict[str, BenchIngest] = {
         kind: BenchIngest(kind=kind, path=canonical)
@@ -106,7 +93,7 @@ def ingest_bench_files(paths: Sequence[str]) -> List[BenchIngest]:
     for path in paths:
         expected_kind = _kind_from_name(path)
         ingest = BenchIngest(kind=expected_kind or os.path.basename(path),
-                             path=path)
+                             path=path, supplied=True)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 document = json.load(handle)
@@ -126,7 +113,7 @@ def ingest_bench_files(paths: Sequence[str]) -> List[BenchIngest]:
                     if isinstance(benchmark, str):
                         ingest.kind = benchmark
         slot = by_kind.get(ingest.kind)
-        if slot is not None and not slot.found:
+        if slot is not None and not slot.supplied:
             by_kind[ingest.kind] = ingest
         else:
             extras.append(ingest)
@@ -245,101 +232,8 @@ def _manifest_peak_rss(path: str) -> Optional[int]:
     return rss if isinstance(rss, int) else None
 
 
-def _baseline_section(ingests: Sequence[BenchIngest],
-                      baseline_dir: str,
-                      gates: RegressionGates,
-                      warnings: List[str]) -> Dict[str, object]:
-    """Compare every valid bench against its newest comparable record.
-
-    Incomparable benches (no history, or every record's config hash
-    differs — e.g. CI's reduced sizes against the checked-in full-size
-    history) render as ``comparable: false`` with no warning: a size
-    mismatch is expected, a slowdown is not. Warn/fail deltas append to
-    the report's warnings so CI can grep one place.
-    """
-    records, problems = load_history(baseline_dir)
-    warnings.extend(problems)
-    benches: Dict[str, object] = {}
-    for ingest in ingests:
-        if not ingest.valid or not ingest.data:
-            continue
-        entry: Dict[str, object] = {"comparable": False, "deltas": []}
-        history = records.get(ingest.kind, [])
-        baseline = latest_comparable(
-            history, bench_config_hash(ingest.data))
-        if baseline is None:
-            entry["reason"] = (
-                "no comparable history record (same config hash)"
-                if history else "no history records for this benchmark")
-        else:
-            deltas = compute_deltas(history_metrics(ingest.data),
-                                    baseline, gates)
-            entry.update({
-                "comparable": True,
-                "baseline_git_sha": baseline.git_sha,
-                "baseline_recorded_at": baseline.recorded_at,
-                "deltas": [
-                    {"metric": delta.name,
-                     "current": delta.current,
-                     "baseline": delta.baseline,
-                     "change": delta.change,
-                     "regression": delta.regression,
-                     "status": delta.status}
-                    for delta in deltas
-                ],
-            })
-            for delta in deltas:
-                if delta.status in ("warn", "fail"):
-                    warnings.append(
-                        f"{ingest.kind}: perf regression "
-                        f"{delta.status}: {delta.name} "
-                        f"{delta.baseline:g} -> {delta.current:g} "
-                        f"({delta.change:+.1%} vs baseline "
-                        f"{baseline.git_sha or 'unknown'})")
-        benches[ingest.kind] = entry
-    return {
-        "dir": baseline_dir,
-        "gates": {"warn_slowdown": gates.warn_slowdown,
-                  "fail_slowdown": gates.fail_slowdown},
-        "problems": problems,
-        "benches": benches,
-    }
-
-
-def _delta_cells(kind: str,
-                 baseline_section: Optional[Mapping[str, object]]
-                 ) -> Tuple[str, str]:
-    """The summary table's ``(delta, perf gate)`` cells for one bench."""
-    if baseline_section is None:
-        return "-", "-"
-    entry = baseline_section["benches"].get(kind)
-    if not entry or not entry.get("comparable"):
-        return "-", "-"
-    deltas = entry.get("deltas") or []
-    primary_name = PRIMARY_METRIC.get(kind)
-    primary = next((delta for delta in deltas
-                    if delta["metric"] == primary_name), None)
-    if primary is None:
-        gated = [d for d in deltas if d.get("regression") is not None]
-        primary = gated[0] if gated else None
-    cell = f"{primary['change']:+.1%}" if primary else "-"
-    worst = "ok"
-    for delta in deltas:
-        status = delta.get("status")
-        if status == "fail":
-            worst = "FAIL"
-            break
-        if status == "warn":
-            worst = "warn"
-    if not any(d.get("regression") is not None for d in deltas):
-        worst = "-"
-    return cell, worst
-
-
 def render_report(bench_paths: Sequence[str],
                   trace_paths: Sequence[str] = (),
-                  baseline_dir: Optional[str] = None,
-                  gates: Optional[RegressionGates] = None,
                   grid_tables: Optional[Mapping[str, str]] = None,
                   grid_profile: Optional[str] = None
                   ) -> Tuple[Dict[str, object], str]:
@@ -348,11 +242,6 @@ def render_report(bench_paths: Sequence[str],
     Args:
         bench_paths: BENCH_*.json files to ingest (fail-soft).
         trace_paths: ``*.jsonl`` trace/metrics artifacts to summarize.
-        baseline_dir: bench-history directory; when set, every valid
-            bench is compared against its newest comparable record and
-            the summary table gains delta + perf-gate columns.
-        gates: warn/fail slowdown thresholds (defaults per
-            :class:`~repro.obs.history.RegressionGates`).
         grid_tables: pre-rendered figure/headline tables to fold in as
             the ``grids`` section (keyed ``headline``/``figure4``/...).
         grid_profile: the experiment profile the grid tables ran.
@@ -367,14 +256,16 @@ def render_report(bench_paths: Sequence[str],
     ingests = ingest_bench_files(bench_paths)
     warnings: List[str] = []
 
-    baseline: Optional[Dict[str, object]] = None
-    if baseline_dir is not None:
-        baseline = _baseline_section(ingests, baseline_dir,
-                                     gates or RegressionGates(), warnings)
-
     benches: Dict[str, object] = {}
     summary_rows: List[Dict[str, object]] = []
     for ingest in ingests:
+        kept = benches.get(ingest.kind)
+        if kept is not None:
+            # Two files of one kind: the first supplied one is reported.
+            warnings.append(
+                f"{ingest.path}: duplicate {ingest.kind!r} bench file "
+                f"ignored (kept {kept['path']})")
+            continue
         headline = _headline(ingest)
         benches[ingest.kind] = {
             "path": ingest.path,
@@ -390,10 +281,6 @@ def render_report(bench_paths: Sequence[str],
             "gate": headline.get("gate", "-"),
             "gate_ok": headline.get("gate_ok"),
         }
-        if baseline is not None:
-            delta_cell, perf_cell = _delta_cells(ingest.kind, baseline)
-            row["delta"] = delta_cell
-            row["perf"] = perf_cell
         summary_rows.append(row)
         if ingest.status == "missing":
             warnings.append(
@@ -417,8 +304,6 @@ def render_report(bench_paths: Sequence[str],
         "traces": traces,
         "warnings": warnings,
     }
-    if baseline is not None:
-        report["baseline"] = baseline
     if grid_tables:
         report["grids"] = {
             "profile": grid_profile,
@@ -439,13 +324,7 @@ def _gate_cell(row: Mapping[str, object]) -> str:
 
 
 def _render_markdown(report: Mapping[str, object]) -> str:
-    """The markdown view of a rendered report document.
-
-    The delta/perf columns render only when the report carries a
-    ``baseline`` section, so baseline-less reports stay byte-identical
-    to schema v1 output.
-    """
-    baseline = report.get("baseline")
+    """The markdown view of a rendered report document."""
     lines = [
         "# Perf-history report",
         "",
@@ -454,50 +333,13 @@ def _render_markdown(report: Mapping[str, object]) -> str:
         "",
         "## Bench summary",
         "",
+        "| benchmark | file | status | runs | gate | gate ok |",
+        "| --- | --- | --- | --- | --- | --- |",
     ]
-    if baseline is not None:
-        lines.extend([
-            "| benchmark | file | status | runs | gate | gate ok "
-            "| delta | perf |",
-            "| --- | --- | --- | --- | --- | --- | --- | --- |",
-        ])
-    else:
-        lines.extend([
-            "| benchmark | file | status | runs | gate | gate ok |",
-            "| --- | --- | --- | --- | --- | --- |",
-        ])
     for row in report["summary"]:
-        cells = (
+        lines.append(
             f"| {row['benchmark']} | {row['file']} | {row['status']} "
             f"| {row['runs']} | {row['gate']} | {_gate_cell(row)} |")
-        if baseline is not None:
-            cells += f" {row.get('delta', '-')} | {row.get('perf', '-')} |"
-        lines.append(cells)
-    if baseline is not None:
-        lines.extend([
-            "", "## Baseline deltas", "",
-            f"Compared against history in `{baseline['dir']}` "
-            f"(warn at {baseline['gates']['warn_slowdown']:.0%}, fail at "
-            f"{baseline['gates']['fail_slowdown']:.0%} regression).",
-            "",
-        ])
-        for kind, entry in sorted(baseline["benches"].items()):
-            if not entry.get("comparable"):
-                lines.append(
-                    f"- {kind}: not comparable — "
-                    f"{entry.get('reason', 'unknown reason')}")
-                continue
-            sha = entry.get("baseline_git_sha") or "unknown"
-            lines.append(
-                f"- {kind} (baseline {sha} @ "
-                f"{entry.get('baseline_recorded_at')}):")
-            for delta in entry.get("deltas", []):
-                status = delta["status"]
-                marker = status.upper() if status == "fail" else status
-                lines.append(
-                    f"  - {delta['metric']}: {delta['baseline']:g} -> "
-                    f"{delta['current']:g} ({delta['change']:+.1%}) "
-                    f"[{marker}]")
     for kind, entry in report["benches"].items():
         headline = entry.get("headline") or {}
         detail = {key: value for key, value in headline.items()
@@ -546,8 +388,6 @@ def write_report_artifacts(bench_paths: Sequence[str],
                            out_dir: str,
                            trace_paths: Sequence[str] = (),
                            force: bool = False,
-                           baseline_dir: Optional[str] = None,
-                           gates: Optional[RegressionGates] = None,
                            grid_tables: Optional[Mapping[str, str]] = None,
                            grid_profile: Optional[str] = None
                            ) -> Dict[str, str]:
@@ -558,9 +398,6 @@ def write_report_artifacts(bench_paths: Sequence[str],
         out_dir: output directory (created if needed).
         trace_paths: optional ``*.jsonl`` trace artifacts to summarize.
         force: overwrite existing artifacts.
-        baseline_dir: optional bench-history directory for regression
-            deltas (see :func:`render_report`).
-        gates: warn/fail slowdown thresholds for the baseline deltas.
         grid_tables: optional pre-rendered figure/headline tables.
         grid_profile: the experiment profile the grid tables ran.
 
@@ -571,8 +408,8 @@ def write_report_artifacts(bench_paths: Sequence[str],
         FileExistsError: an artifact exists and ``force`` is off.
     """
     report, markdown = render_report(
-        bench_paths, trace_paths, baseline_dir=baseline_dir, gates=gates,
-        grid_tables=grid_tables, grid_profile=grid_profile)
+        bench_paths, trace_paths, grid_tables=grid_tables,
+        grid_profile=grid_profile)
     os.makedirs(out_dir, exist_ok=True)
     targets = {
         "json": os.path.join(out_dir, "report.json"),
@@ -588,17 +425,12 @@ def write_report_artifacts(bench_paths: Sequence[str],
         handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     with open(targets["markdown"], "w", encoding="utf-8") as handle:
         handle.write(markdown)
-    effective_gates = gates or RegressionGates()
     manifest = build_manifest(
         "report",
         config={"bench_paths": sorted(os.path.basename(p)
                                       for p in bench_paths),
                 "trace_paths": sorted(os.path.basename(p)
                                       for p in trace_paths),
-                "baseline_dir": baseline_dir,
-                "gates": ({"warn_slowdown": effective_gates.warn_slowdown,
-                           "fail_slowdown": effective_gates.fail_slowdown}
-                          if baseline_dir is not None else None),
                 "grids": sorted(grid_tables) if grid_tables else None},
         extra={"report_schema_version": REPORT_SCHEMA_VERSION,
                "warnings": len(report["warnings"])},

@@ -145,38 +145,9 @@ def validate_bench(document: object,
     return problems
 
 
-#: One bench-history record (``benchmarks/history/<kind>.jsonl`` lines).
-#: ``git_sha`` is nullable: records written outside a git repository are
-#: valid, just unattributable.
-HISTORY_RECORD_FIELDS: Tuple[SchemaField, ...] = (
-    SchemaField("schema_version", (int,)),
-    SchemaField("benchmark", (str,)),
-    SchemaField("git_sha", (str, type(None))),
-    SchemaField("config_hash", (str,)),
-    SchemaField("recorded_at", (str,)),
-    SchemaField("version", (str,)),
-    SchemaField("python", (str,)),
-    SchemaField("metrics", (dict,)),
-)
-
-
-def validate_history_record(document: object) -> List[str]:
-    """Validate one bench-history JSONL record; return problem strings."""
-    problems = validate_fields(document, HISTORY_RECORD_FIELDS,
-                               "history record")
-    if problems:
-        return problems
-    for name, value in sorted(document["metrics"].items()):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            problems.append(
-                f"metric {name!r} must be a number, got "
-                f"{type(value).__name__}")
-    return problems
-
-
 #: The report document's own schema (self-checked before writing).
-#: ``baseline`` and ``grids`` are optional sections: present only when
-#: the report ran with ``--baseline`` / ``--grids``.
+#: ``grids`` is an optional section: present only when the report ran
+#: with ``--grids``.
 REPORT_FIELDS: Tuple[SchemaField, ...] = (
     SchemaField("schema_version", (int,)),
     SchemaField("generator", (str,)),
@@ -184,7 +155,6 @@ REPORT_FIELDS: Tuple[SchemaField, ...] = (
     SchemaField("summary", (list,)),
     SchemaField("traces", (list,)),
     SchemaField("warnings", (list,)),
-    SchemaField("baseline", (dict,), required=False),
     SchemaField("grids", (dict,), required=False),
 )
 

@@ -244,46 +244,6 @@ class TestReportCommand:
         assert (out_dir / "report.md").exists()
         assert (out_dir / "report.manifest.json").exists()
 
-    def test_report_baseline_renders_delta_column(self, tmp_path, capsys):
-        from repro.obs.history import append_bench_history
-
-        doc = {
-            "benchmark": "planner", "python": "3.11.0", "seed": 0,
-            "scheme": "econ-cheap", "query_count": 50, "repetitions": 1,
-            "outcomes_identical": True,
-            "speedup": {"batched_warm_vs_cold": 1.1},
-            "runs": [{"benchmark_mode": "batched-cold",
-                      "queries_per_s": 1000.0}],
-        }
-        history = tmp_path / "history"
-        append_bench_history(doc, str(history), git_sha="abc")
-        bench = tmp_path / "BENCH_planner.json"
-        bench.write_text(json.dumps(doc))
-        out_dir = tmp_path / "artifacts"
-        code, out, _ = _run(capsys, ["report", str(bench),
-                                     "--baseline", str(history),
-                                     "--out", str(out_dir)])
-        assert code == 0
-        assert "| delta | perf |" in out
-        assert "## Baseline deltas" in out
-
-    def test_report_missing_baseline_dir_exits_2(self, tmp_path, capsys):
-        code, _, err = _run(capsys, ["report",
-                                     "--baseline", str(tmp_path / "nope"),
-                                     "--out", str(tmp_path / "a")])
-        assert code == 2
-        assert "does not exist" in err
-
-    def test_report_inverted_gates_exit_2(self, tmp_path, capsys):
-        history = tmp_path / "history"
-        history.mkdir()
-        code, _, err = _run(capsys, ["report", "--baseline", str(history),
-                                     "--warn-slowdown", "0.5",
-                                     "--fail-slowdown", "0.1",
-                                     "--out", str(tmp_path / "a")])
-        assert code == 2
-        assert "warn" in err
-
     def test_report_refuses_overwrite_without_force(self, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"
         code, _, _ = _run(capsys, ["report", "--out", str(out_dir)])

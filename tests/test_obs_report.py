@@ -20,6 +20,26 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHECKED_IN = [os.path.join(REPO_ROOT, name) for _, name in BENCH_NAMES]
 
 
+def _planner_doc():
+    """A small, self-consistent planner bench document."""
+    return {
+        "benchmark": "planner", "python": "3.11.0", "seed": 0,
+        "scheme": "econ-cheap", "query_count": 50, "repetitions": 1,
+        "outcomes_identical": True,
+        "speedup": {"batched_warm_vs_cold": 1.1},
+        "runs": [{"benchmark_mode": "batched-cold", "elapsed_s": 0.05,
+                  "queries_per_s": 1000.0},
+                 {"benchmark_mode": "batched-warm", "elapsed_s": 0.045,
+                  "queries_per_s": 1100.0}],
+    }
+
+
+def _write_bench(directory, doc, name="BENCH_planner.json"):
+    path = directory / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def _require_checked_in():
     missing = [path for path in CHECKED_IN if not os.path.exists(path)]
     if missing:
@@ -79,10 +99,17 @@ class TestIngest:
         assert planner.found and not planner.valid
         assert planner.status == "invalid"
 
-    def test_unreadable_file_degrades_to_missing(self, tmp_path):
-        ingests = ingest_bench_files([str(tmp_path / "BENCH_shocks.json")])
-        shocks = next(i for i in ingests if i.kind == "shocks")
-        assert shocks.status == "missing"
+    def test_unreadable_file_is_supplied_not_missing(self, tmp_path):
+        absent = tmp_path / "BENCH_shocks.json"
+        directory = tmp_path / "BENCH_planner.json"
+        directory.mkdir()
+        ingests = ingest_bench_files([str(absent), str(directory)])
+        for kind in ("shocks", "planner"):
+            ingest = next(i for i in ingests if i.kind == kind)
+            assert ingest.supplied and not ingest.found
+            assert ingest.status == "unreadable"
+            (problem,) = ingest.problems
+            assert problem.startswith("unreadable: ")
 
 
 class TestRenderReport:
@@ -103,6 +130,51 @@ class TestRenderReport:
         assert validate_report(report) == []
         assert len(report["warnings"]) == len(BENCH_NAMES)
         assert "missing" in markdown
+
+    def test_summary_table_keeps_the_v1_shape(self, tmp_path):
+        report, markdown = render_report([_write_bench(tmp_path,
+                                                       _planner_doc())])
+        assert "baseline" not in report
+        assert ("| benchmark | file | status | runs | gate | gate ok |\n"
+                "| --- | --- | --- | --- | --- | --- |\n") in markdown
+        assert "| planner | BENCH_planner.json | ok | 2 |" in markdown
+
+    def test_unreadable_paths_surface_their_error(self, tmp_path):
+        absent = str(tmp_path / "BENCH_shocks.json")
+        directory = tmp_path / "BENCH_placement.json"
+        directory.mkdir()
+        report, markdown = render_report([absent, str(directory)])
+        assert validate_report(report) == []
+        for kind, path, error in (
+                ("shocks", absent, "No such file or directory"),
+                ("placement", str(directory), "Is a directory")):
+            assert f"| {kind} | {os.path.basename(path)} | unreadable |" \
+                in markdown
+            assert not any(f"for {kind!r} not supplied" in warning
+                           for warning in report["warnings"])
+            (warning,) = [w for w in report["warnings"]
+                          if w.startswith(f"{path}: unreadable: ")]
+            assert error in warning
+
+    def test_duplicate_kind_keeps_the_first_and_warns(self, tmp_path):
+        first_dir, second_dir = tmp_path / "a", tmp_path / "b"
+        first_dir.mkdir()
+        second_dir.mkdir()
+        first = _write_bench(first_dir, _planner_doc())
+        legacy = {"benchmark": "planner"}
+        second = _write_bench(second_dir, legacy)
+        report, markdown = render_report([first, second])
+        assert validate_report(report) == []
+        assert report["benches"]["planner"]["path"] == first
+        assert report["benches"]["planner"]["valid"] is True
+        rows = [row for row in report["summary"]
+                if row["benchmark"] == "planner"]
+        assert len(rows) == 1 and rows[0]["status"] == "ok"
+        assert markdown.count("| planner |") == 1
+        duplicates = [w for w in report["warnings"] if "duplicate" in w]
+        assert duplicates == [
+            f"{second}: duplicate 'planner' bench file ignored "
+            f"(kept {first})"]
 
     def test_trace_summaries_fold_in(self, tmp_path):
         from repro.obs.trace import TraceRecorder
@@ -137,3 +209,73 @@ class TestWriteArtifacts:
         with pytest.raises(FileExistsError):
             write_report_artifacts([], str(out))
         write_report_artifacts([], str(out), force=True)
+
+
+class TestFailSoftIngest:
+    """Corrupt/truncated BENCH files degrade to warnings."""
+
+    def test_truncated_bench_json_degrades_to_warning(self, tmp_path):
+        full = json.dumps(_planner_doc())
+        path = tmp_path / "BENCH_planner.json"
+        path.write_text(full[:len(full) // 2])  # truncated mid-stream
+        report, markdown = render_report([str(path)])
+        assert validate_report(report) == []
+        assert any("not valid JSON" in warning
+                   for warning in report["warnings"])
+        row = next(line for line in markdown.splitlines()
+                   if line.startswith("| planner |"))
+        assert "| invalid |" in row
+
+    def test_corrupt_bench_json_degrades_to_warning(self, tmp_path):
+        path = tmp_path / "BENCH_planner.json"
+        path.write_text("{\"benchmark\": \x00garbage")
+        report, _ = render_report([str(path)])
+        assert validate_report(report) == []
+        assert any("not valid JSON" in warning
+                   for warning in report["warnings"])
+
+
+class TestGridsSection:
+    def test_grid_tables_fold_into_report_and_markdown(self, tmp_path):
+        tables = {"headline": "headline table bytes",
+                  "figure4": "figure4 table bytes"}
+        report, markdown = render_report([], grid_tables=tables,
+                                         grid_profile="quick")
+        assert validate_report(report) == []
+        assert report["grids"]["profile"] == "quick"
+        assert report["grids"]["tables"] == tables
+        assert "## Grids" in markdown
+        assert "### figure4" in markdown
+        assert "figure4 table bytes" in markdown
+
+    def test_no_grids_no_section(self):
+        report, markdown = render_report([])
+        assert "grids" not in report
+        assert "## Grids" not in markdown
+
+
+class TestLegacyPlanningArtifacts:
+    """Artifacts recorded while the engine had a ``planning`` mode.
+
+    The fixture holds a planner bench document with a scalar run and a
+    ``batched_cold_vs_scalar`` speedup, and a trace whose run manifest
+    carries ``"planning": "batched"``. The report must still read both.
+    """
+
+    LEGACY = os.path.join(REPO_ROOT, "tests", "data", "legacy_planning")
+
+    def test_report_reads_legacy_bench_and_trace(self):
+        bench = os.path.join(self.LEGACY, "BENCH_planner.json")
+        trace = os.path.join(self.LEGACY, "scenario_trace.jsonl")
+        with open(trace + ".manifest.json", encoding="utf-8") as handle:
+            assert json.load(handle)["planning"] == "batched"
+        report, markdown = render_report([bench], trace_paths=[trace])
+        assert validate_report(report) == []
+        planner = report["benches"]["planner"]
+        assert planner["valid"] and planner["problems"] == []
+        assert planner["headline"]["gate_ok"] is True
+        (summary,) = report["traces"]
+        assert summary["artifact"] == "trace"
+        assert "problem" not in summary
+        assert not any("legacy" in warning for warning in report["warnings"])
+        assert "| planner |" in markdown
