@@ -46,12 +46,13 @@ audits then pin conservation under faults.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import os
 import sys
 import time
 import warnings
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
 
 from repro import __version__
 from repro.errors import ReproError
@@ -528,13 +529,7 @@ def _scenario_command(args: argparse.Namespace,
     if engine is not None:
         # The same bitwise identity the shocks command audits: provider
         # query-payment deposits fold to exactly the charged total.
-        from repro.economy.account import CloudAccount
-
-        banked = engine.account.totals_by_category().get(
-            CloudAccount.CATEGORY_QUERY_PAYMENT, 0.0)
-        charged = 0.0
-        for outcome in engine.outcomes:
-            charged += outcome.charge
+        banked, charged = engine.payment_folds()
         rows.append(["conservation",
                      "exact" if banked == charged
                      else f"VIOLATED ({banked!r} != {charged!r})"])
@@ -542,25 +537,45 @@ def _scenario_command(args: argparse.Namespace,
     return format_table(headers, rows, title=title)
 
 
-def _rendered_warnings() -> tuple:
-    """Library warnings the CLI re-renders as plain ``warning:`` lines."""
-    from repro.distcache import PartitionImbalanceWarning
-    from repro.workload.grammar import GrammarDegeneracyWarning
+def _scheme_names(args: argparse.Namespace) -> List[str]:
+    """The ``--schemes`` list (``all`` or comma-separated names)."""
+    names = (list(SCHEME_NAMES) if args.schemes == "all"
+             else [name.strip() for name in args.schemes.split(",")
+                   if name.strip()])
+    if not names:
+        raise ReproError("--schemes selects no scheme")
+    return names
 
-    return (PartitionImbalanceWarning, GrammarDegeneracyWarning)
+
+def _check_placement(args: argparse.Namespace) -> None:
+    """``--placement adaptive`` is only meaningful over several partitions."""
+    if args.placement != "hash" and args.cache_partitions == 1:
+        raise ReproError(
+            "--placement adaptive needs --cache-partitions > 1: with one "
+            "partition every structure is local and there is no placement "
+            "to adapt"
+        )
 
 
-def _render_warnings(caught: List[warnings.WarningMessage]) -> None:
-    """Re-render known run-layout warnings; re-emit everything else.
+@contextlib.contextmanager
+def _rendering_warnings() -> Iterator[None]:
+    """Record the block's warnings; re-render known run-layout ones.
 
     The cache-partitioning layer's imbalance warning and the grammar's
     degeneracy warning become plain ``warning:`` stderr lines; anything
     else recorded is re-emitted afterwards with its original metadata, so
-    unrelated warnings keep their normal behaviour. Callers should record
-    with the "default" filter on the rendered categories, which dedupes
-    repeats — one imbalance prints once however many cells trigger it.
+    unrelated warnings keep their normal behaviour. The rendered
+    categories record under the "default" filter, which dedupes repeats —
+    one imbalance prints once however many cells trigger it.
     """
-    rendered = _rendered_warnings()
+    from repro.distcache import PartitionImbalanceWarning
+    from repro.workload.grammar import GrammarDegeneracyWarning
+
+    rendered = (PartitionImbalanceWarning, GrammarDegeneracyWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        for category in rendered:
+            warnings.simplefilter("default", category)
+        yield
     for entry in caught:
         if issubclass(entry.category, rendered):
             print(f"warning: {entry.message}", file=sys.stderr)
@@ -585,17 +600,8 @@ def _tenants_command(args: argparse.Namespace,
         top_tenant_table,
     )
 
-    names = (list(SCHEME_NAMES) if args.schemes == "all"
-             else [name.strip() for name in args.schemes.split(",")
-                   if name.strip()])
-    if not names:
-        raise ReproError("--schemes selects no scheme")
-    if args.placement != "hash" and args.cache_partitions == 1:
-        raise ReproError(
-            "--placement adaptive needs --cache-partitions > 1: with one "
-            "partition every structure is local and there is no placement "
-            "to adapt"
-        )
+    names = _scheme_names(args)
+    _check_placement(args)
     configs = [
         TenantExperimentConfig(
             scheme=name,
@@ -615,9 +621,7 @@ def _tenants_command(args: argparse.Namespace,
         for name in names
     ]
     sections: List[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        for category in _rendered_warnings():
-            warnings.simplefilter("default", category)
+    with _rendering_warnings():
         if args.cache_partitions > 1:
             reports = run_partitioned_experiment(
                 configs, partitions=args.cache_partitions, jobs=args.jobs,
@@ -643,7 +647,6 @@ def _tenants_command(args: argparse.Namespace,
                 sections.append(tenant_aggregate_table(result))
                 if args.top > 0:
                     sections.append(top_tenant_table(result, limit=args.top))
-    _render_warnings(caught)
     return "\n\n".join(sections)
 
 
@@ -662,16 +665,8 @@ def _shocks_command(args: argparse.Namespace,
     from repro.experiments.tenants import TenantExperimentConfig
     from repro.workload.grammar import ScenarioGrammar, default_shock_grammar
 
-    names = (list(SCHEME_NAMES) if args.schemes == "all"
-             else [name.strip() for name in args.schemes.split(",")
-                   if name.strip()])
-    if not names:
-        raise ReproError("--schemes selects no scheme")
-    if args.placement != "hash" and args.cache_partitions == 1:
-        raise ReproError(
-            "--placement adaptive needs --cache-partitions > 1: with one "
-            "partition there is no placement to adapt"
-        )
+    names = _scheme_names(args)
+    _check_placement(args)
     grammar = default_shock_grammar()
     if args.query_class or args.shock:
         grammar = grammar | ScenarioGrammar(
@@ -693,9 +688,7 @@ def _shocks_command(args: argparse.Namespace,
     ]
     sections: List[str] = []
     conservation_lines: List[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        for category in _rendered_warnings():
-            warnings.simplefilter("default", category)
+    with _rendering_warnings():
         # The recorders observe the primary shocked cells; the partitioned
         # rerun below is a conservation audit and stays unobserved.
         results = run_shock_resilience(configs, jobs=args.jobs,
@@ -745,7 +738,6 @@ def _shocks_command(args: argparse.Namespace,
                 placement = distcache_placement_table(report)
                 if placement is not None:
                     sections.append(placement)
-    _render_warnings(caught)
     sections.append("\n".join(conservation_lines))
     return "\n\n".join(sections)
 
@@ -802,9 +794,7 @@ def _describe_command() -> str:
 def _observed_schemes(args: argparse.Namespace) -> List[str]:
     """The scheme list an observed run covered, for its manifest."""
     if args.command in ("tenants", "shocks"):
-        return (list(SCHEME_NAMES) if args.schemes == "all"
-                else [name.strip() for name in args.schemes.split(",")
-                      if name.strip()])
+        return _scheme_names(args)
     if args.command in ("figure4", "figure5", "headline"):
         return list(_profile(args.profile).schemes)
     return [args.scheme]

@@ -58,7 +58,6 @@ from repro.distcache.merge import (
     PartitionCheckpoint,
     ledger_fold,
     merge_partition_results,
-    outcome_charge_fold,
     verify_payment_conservation,
     verify_subaccount_integrity,
     verify_wallet_integrity,
@@ -111,7 +110,6 @@ __all__ = [
     "distcache_placement_table",
     "ledger_fold",
     "merge_partition_results",
-    "outcome_charge_fold",
     "run_partitioned_cell",
     "run_partitioned_experiment",
     "verify_delta_fold",

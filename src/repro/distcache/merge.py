@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.distcache.engine import PartitionedEconomyEngine
-from repro.economy.account import CloudAccount, ledger_fold
+from repro.economy.account import ledger_fold
 from repro.economy.tenancy import GenerativeTenantRegistry
 from repro.errors import DistCacheError
 from repro.experiments.tenants import (
@@ -77,19 +77,6 @@ class PartitionCheckpoint:
         return total
 
 
-def outcome_charge_fold(engine: PartitionedEconomyEngine) -> float:
-    """Fold of the partition's per-query charges, in processing order.
-
-    Mirrors the provider sub-account's ``query_payment`` deposits one to
-    one: the engine deposits exactly ``outcome.charge`` per query, in the
-    same order, so the two folds add the same floats in the same order.
-    """
-    total = 0.0
-    for outcome in engine.outcomes:
-        total += outcome.charge
-    return total
-
-
 def verify_subaccount_integrity(
         engines: Sequence[PartitionedEconomyEngine]) -> None:
     """Every sub-account's credit must fold bitwise from its own ledger."""
@@ -110,7 +97,9 @@ def verify_payment_conservation(
 
     Returns:
         ``(payments, charges)`` — the provider-side and tenant-side folds
-        per partition, computed independently (checkpoints record both,
+        per partition, computed independently by
+        :meth:`~repro.economy.engine.EconomyEngine.payment_folds`
+        (checkpoints record both,
         so a post-hoc audit can re-compare them rather than trusting this
         function ran).
 
@@ -121,9 +110,7 @@ def verify_payment_conservation(
     payments: List[float] = []
     charges: List[float] = []
     for engine in engines:
-        banked = engine.account.totals_by_category().get(
-            CloudAccount.CATEGORY_QUERY_PAYMENT, 0.0)
-        charged = outcome_charge_fold(engine)
+        banked, charged = engine.payment_folds()
         if banked != charged:
             raise DistCacheError(
                 f"payment conservation violated on partition "
@@ -139,26 +126,17 @@ def verify_wallet_integrity(
         registries: Sequence[GenerativeTenantRegistry]) -> None:
     """Every tenant wallet's balance must fold bitwise from its ledger.
 
-    A churned wallet's ledger is folded when its state is dropped; the
-    folds that failed then are counted in ``archived_ledger_mismatches``.
+    A churned wallet's ledger is folded when its state is dropped, so
+    churned wallets count too
+    (:meth:`~repro.economy.tenancy.GenerativeTenantRegistry.wallet_ledger_mismatches`).
     """
     for partition, registry in enumerate(registries):
-        mismatches = registry.archived_ledger_mismatches
+        mismatches = registry.wallet_ledger_mismatches()
         if mismatches:
             raise DistCacheError(
                 f"wallet integrity violated on partition {partition}: "
-                f"{mismatches} churned wallets did not fold from their "
-                f"ledgers"
+                f"{mismatches} wallets do not fold from their ledgers"
             )
-        for state in registry.states():
-            folded = ledger_fold(state.account)
-            if folded != state.account.credit:
-                raise DistCacheError(
-                    f"wallet integrity violated for tenant "
-                    f"{state.tenant_id!r} on partition {partition}: ledger "
-                    f"folds to {folded!r} but balance is "
-                    f"{state.account.credit!r}"
-                )
 
 
 def merged_wallets(registries: Sequence[GenerativeTenantRegistry],

@@ -24,8 +24,9 @@ arrivals (:func:`repro.experiments.tenants.cell_arrivals`)::
 
 Nothing is materialised up front or serialised between barriers, and
 steps arrive in dispatch order. More cores go to *independent cells*:
-:meth:`DistCacheRunner.run_cells` fans cells over a process pool of
-``max_workers``, which changes wall-clock, never results.
+:func:`run_partitioned_experiment` fans cells out through
+:func:`repro.experiments.runner.map_cells`, which changes wall-clock,
+never results.
 
 Each query is planned, priced, and negotiated by exactly **one**
 partition: total per-query compute stays ~constant as partitions are
@@ -39,7 +40,6 @@ divergence report against the global-cache baseline and documented in
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,6 +66,7 @@ from repro.economy.account import CloudAccount
 from repro.economy.engine import EconomyConfig
 from repro.economy.tenancy import GenerativeTenantRegistry
 from repro.errors import DistCacheError
+from repro.experiments.runner import map_cells
 from repro.experiments.tenants import (
     TenantCellResult,
     TenantExperimentConfig,
@@ -101,8 +102,8 @@ class PartitionImbalanceWarning(UserWarning):
 #: demand-driven ownership handoffs at settlement barriers.
 PLACEMENT_MODES = ("hash", "adaptive")
 
-#: Publish a full-snapshot anchor every this many barriers by default;
-#: all other barriers publish (and fold-verify) only the delta.
+#: Publish a full-snapshot anchor every this many barriers; all other
+#: barriers publish (and fold-verify) only the delta.
 DEFAULT_ANCHOR_PERIOD = 8
 
 
@@ -379,7 +380,6 @@ class DistCacheRunner:
 
     Args:
         partition_count: cache partitions per cell.
-        max_workers: process-pool size over the cells of :meth:`run_cells`.
         remote: the remote-access surcharge model in force.
         compare_baseline: also run the global-cache twin for the
             divergence report (skipped with one partition).
@@ -388,23 +388,17 @@ class DistCacheRunner:
             ownership handoffs at settlement barriers).
         handoff_threshold: hysteresis margin in dollars per epoch a
             challenger must exceed the incumbent by (adaptive mode).
-        anchor_period: publish a full-snapshot anchor every this many
-            barriers; the others publish fold-verified deltas.
     """
 
-    def __init__(self, partition_count: int, max_workers: int = 1,
+    def __init__(self, partition_count: int,
                  remote: RemoteAccessModel = RemoteAccessModel(),
                  compare_baseline: bool = True,
                  placement: str = "hash",
                  handoff_threshold: float = 0.0,
-                 anchor_period: int = DEFAULT_ANCHOR_PERIOD,
                  trace=None, metrics=None) -> None:
         if partition_count < 1:
             raise DistCacheError(
                 f"partition_count must be >= 1, got {partition_count}")
-        if max_workers < 1:
-            raise DistCacheError(
-                f"max_workers must be >= 1, got {max_workers}")
         if placement not in PLACEMENT_MODES:
             raise DistCacheError(
                 f"placement must be one of {', '.join(PLACEMENT_MODES)}; "
@@ -412,18 +406,13 @@ class DistCacheRunner:
         if not handoff_threshold >= 0:  # `not >=` also rejects NaN
             raise DistCacheError(
                 f"handoff_threshold must be >= 0, got {handoff_threshold}")
-        if anchor_period < 1:
-            raise DistCacheError(
-                f"anchor_period must be >= 1, got {anchor_period}")
         self._base_partitioner = StructurePartitioner(partition_count)
         self._partitioner = self._base_partitioner
         self._router = QueryRouter(partition_count)
-        self._max_workers = max_workers
         self._remote = remote
         self._compare_baseline = compare_baseline
         self._placement = placement
         self._handoff_threshold = handoff_threshold
-        self._anchor_period = anchor_period
         # Observability sinks (duck-typed TraceRecorder); None = disabled.
         # Per-partition recorders live on the engines and are absorbed
         # into these collectors when a cell completes. The barrier
@@ -603,43 +592,6 @@ class DistCacheRunner:
             publications=tuple(cell.publications),
         )
 
-    def run_cells(self, configs: Sequence[TenantExperimentConfig]
-                  ) -> List[DistCacheCellReport]:
-        """Run many cells, fanned over a process pool of ``max_workers``.
-
-        Pooled reports are byte-identical to sequential ones, in
-        ``configs`` order; observed runs stay sequential so records land
-        in one recorder. A pooled cell's warnings are re-emitted here in
-        cell order, so callers see the same warnings either way.
-        """
-        cells = list(configs)
-        if not cells:
-            raise DistCacheError("at least one tenant cell is required")
-        if (self._max_workers == 1 or len(cells) == 1
-                or self._trace is not None or self._metrics is not None):
-            return [self.run_cell(config) for config in cells]
-        with ProcessPoolExecutor(
-                max_workers=min(self._max_workers, len(cells))) as executor:
-            outputs = list(executor.map(self._run_cell_recording, cells))
-        # One registry for the whole batch: a "default" filter then shows
-        # a warning repeated by several cells once, as sequential runs do.
-        registry: Dict = {}
-        for _, caught in outputs:
-            for message, category, filename, lineno in caught:
-                warnings.warn_explicit(message, category, filename, lineno,
-                                       registry=registry)
-        return [report for report, _ in outputs]
-
-    def _run_cell_recording(self, config: TenantExperimentConfig):
-        """Pool entry point: one cell's report plus its warnings, as
-        ``(message, category, filename, lineno)`` tuples."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = self.run_cell(config)
-        return report, tuple(
-            (entry.message, entry.category, entry.filename, entry.lineno)
-            for entry in caught)
-
     # -- barrier work ----------------------------------------------------------
 
     def _apply_handoffs(self, schemes: Sequence[CachingScheme],
@@ -734,8 +686,8 @@ class DistCacheRunner:
         The full snapshot is still assembled (and its ownership
         invariants verified) every barrier — what changes is the modeled
         *wire* cost: barriers ship only the delta against the previous
-        epoch, except every ``anchor_period``-th, which ships the full
-        snapshot as an audit anchor. ``prev + delta == full`` is
+        epoch, except every :data:`DEFAULT_ANCHOR_PERIOD`-th, which ships
+        the full snapshot as an audit anchor. ``prev + delta == full`` is
         re-verified before the snapshot is installed, so a divergent
         delta can never propagate.
         """
@@ -760,7 +712,7 @@ class DistCacheRunner:
             moves=len(delta.moves),
             delta_bytes=delta.wire_bytes,
             full_bytes=directory.wire_bytes,
-            anchored=version % self._anchor_period == 0,
+            anchored=version % DEFAULT_ANCHOR_PERIOD == 0,
         )
         for scheme in schemes:
             cache = scheme.cache
@@ -858,14 +810,12 @@ def run_partitioned_cell(config: TenantExperimentConfig,
                          compare_baseline: bool = True,
                          placement: str = "hash",
                          handoff_threshold: float = 0.0,
-                         anchor_period: int = DEFAULT_ANCHOR_PERIOD,
                          trace=None, metrics=None) -> DistCacheCellReport:
     """Run one tenant cell in partitioned-cache mode (convenience wrapper)."""
     runner = DistCacheRunner(partitions, remote=remote,
                              compare_baseline=compare_baseline,
                              placement=placement,
                              handoff_threshold=handoff_threshold,
-                             anchor_period=anchor_period,
                              trace=trace, metrics=metrics)
     return runner.run_cell(config)
 
@@ -877,14 +827,18 @@ def run_partitioned_experiment(configs: Sequence[TenantExperimentConfig],
                                compare_baseline: bool = True,
                                placement: str = "hash",
                                handoff_threshold: float = 0.0,
-                               anchor_period: int = DEFAULT_ANCHOR_PERIOD,
                                trace=None,
                                metrics=None) -> List[DistCacheCellReport]:
-    """Run many cells partitioned; ``jobs`` sizes the pool over the cells."""
-    runner = DistCacheRunner(partitions, max_workers=jobs, remote=remote,
+    """Run many cells partitioned, in ``configs`` order.
+
+    ``jobs`` fans the cells out through
+    :func:`~repro.experiments.runner.map_cells`; observed runs stay in
+    process so records land in one recorder.
+    """
+    runner = DistCacheRunner(partitions, remote=remote,
                              compare_baseline=compare_baseline,
                              placement=placement,
                              handoff_threshold=handoff_threshold,
-                             anchor_period=anchor_period,
                              trace=trace, metrics=metrics)
-    return runner.run_cells(configs)
+    observed = trace is not None or metrics is not None
+    return map_cells(runner.run_cell, configs, 1 if observed else jobs)

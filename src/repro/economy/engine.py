@@ -278,6 +278,22 @@ class EconomyEngine:
         """Outcomes of every processed query, in processing order."""
         return tuple(self._outcomes)
 
+    def payment_folds(self) -> Tuple[float, float]:
+        """``(banked, charged)``: the account's ``query_payment`` total and
+        the left fold of every outcome's charge, in processing order.
+
+        The two are the provider and tenant sides of one money stream:
+        settlement deposits exactly ``outcome.charge`` per query, in
+        processing order, so the folds add the same floats in the
+        same order and a correct run makes them bitwise equal.
+        """
+        banked = self._account.totals_by_category().get(
+            CloudAccount.CATEGORY_QUERY_PAYMENT, 0.0)
+        charged = 0.0
+        for outcome in self._outcomes:
+            charged += outcome.charge
+        return banked, charged
+
     @property
     def execution_model(self) -> ExecutionCostModel:
         """The execution cost model used by the enumerator."""

@@ -636,6 +636,14 @@ class GenerativeTenantRegistry(TenantRegistry):
                 withdrawn[tenant_id] = charged
         return withdrawn
 
+    def wallet_ledger_mismatches(self) -> int:
+        """Wallets whose balance does not fold bitwise from their ledger
+        (0 on a correct run): the churned ones, counted when their
+        ledgers were dropped, plus the resident ones."""
+        return self.archived_ledger_mismatches + sum(
+            1 for state in self._states.values()
+            if ledger_fold(state.account) != state.account.credit)
+
     def live_tenant_count(self) -> int:
         """Tenants that have arrived and not churned (O(live))."""
         live = len(self._live_indices)

@@ -1,15 +1,18 @@
-"""The (scheme x inter-arrival time) grid runner shared by Figures 4 and 5.
+"""The (scheme x inter-arrival time) grid runner shared by Figures 4 and 5,
+and :func:`map_cells`, the one fan-out every experiment uses.
 
 Cells are independent — every cell builds its scheme fresh and replays a
-deterministic workload — so the grid is embarrassingly parallel:
-:func:`run_grid` fans cells out over a ``ProcessPoolExecutor`` when asked
+deterministic workload — so experiments are embarrassingly parallel:
+:func:`map_cells` fans cells out over a ``ProcessPoolExecutor`` when asked
 for more than one job, and the parallel path returns cell-for-cell
 identical results to the sequential one (same profile, same seeds, same
-insertion order).
+order), with the same warnings.
 """
 
 from __future__ import annotations
 
+import functools
+import warnings
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclasses_field
@@ -22,6 +25,56 @@ from repro.simulator.metrics import MetricsSummary
 from repro.simulator.simulation import CloudSimulation, SimulationConfig
 from repro.system import CloudSystem, CloudSystemConfig
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
+
+#: The registry pooled cells' warnings are re-emitted through, shared by
+#: every :func:`map_cells` call: a "default" filter then shows a warning
+#: that several cells (or several fan-outs of one run) raise from one
+#: place once, as a sequential run does. ``warnings`` clears it whenever
+#: the filters change.
+_POOLED_WARNINGS: Dict = {}
+
+
+def map_cells(fn: Callable, cells: Iterable,
+              jobs: Optional[int] = None) -> List:
+    """``[fn(cell) for cell in cells]``, fanned over ``jobs`` processes.
+
+    With one job or one cell the cells run in process. Otherwise they run
+    on a ``ProcessPoolExecutor`` (``fn`` and the cells must pickle); results
+    come back in ``cells`` order, and each worker records its cell's
+    warnings, which are re-emitted here in cell order, so callers see the
+    same results and the same warnings either way.
+
+    Raises:
+        ExperimentError: ``cells`` is empty or ``jobs`` is below 1.
+    """
+    cells = list(cells)
+    if not cells:
+        raise ExperimentError("at least one cell is required")
+    worker_count = 1 if jobs is None else int(jobs)
+    if worker_count < 1:
+        raise ExperimentError(f"jobs must be >= 1, got {jobs}")
+    if worker_count == 1 or len(cells) == 1:
+        return [fn(cell) for cell in cells]
+    with ProcessPoolExecutor(
+            max_workers=min(worker_count, len(cells))) as executor:
+        outputs = list(executor.map(functools.partial(_recording, fn),
+                                    cells))
+    for _, caught in outputs:
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno,
+                                   registry=_POOLED_WARNINGS)
+    return [result for result, _ in outputs]
+
+
+def _recording(fn: Callable, cell) -> Tuple[object, Tuple[tuple, ...]]:
+    """Pool entry point: ``fn(cell)`` plus the warnings it raised, as
+    ``(message, category, filename, lineno)`` tuples."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(cell)
+    return result, tuple(
+        (entry.message, entry.category, entry.filename, entry.lineno)
+        for entry in caught)
 
 
 @dataclass(frozen=True)
@@ -149,12 +202,12 @@ def _cache_grid(profile: ExperimentProfile, grid: ExperimentGrid) -> None:
 
 def _run_cell_task(task: Tuple[ExperimentProfile, str, float, bool]
                    ) -> CellResult:
-    """Worker entry point: run one cell in a fresh process.
+    """One grid cell, in process or on a pool worker.
 
-    Each worker assembles its own :class:`CloudSystem`; the system is a
-    deterministic function of the profile, so per-worker assembly cannot
-    change any result. Traced cells carry their recorder back through
-    the result pickle (recorders are plain picklable data).
+    Each cell assembles its own :class:`CloudSystem` (about a millisecond);
+    the system is a deterministic function of the profile, so per-cell
+    assembly cannot change any result. Traced cells carry their recorder
+    back through the result pickle (recorders are plain picklable data).
     """
     profile, scheme_name, interarrival_s, trace = task
     return run_cell(build_system(profile), profile, scheme_name,
@@ -168,10 +221,11 @@ def run_grid(profile: ExperimentProfile, use_cache: bool = True,
     Args:
         profile: what to run.
         use_cache: reuse (and populate) the per-process grid cache.
-        jobs: worker processes to fan the cells out over; ``None`` or 1
-            runs sequentially in-process. The parallel path produces
-            cell-for-cell identical results (the cells are independent
-            and individually deterministic).
+        jobs: worker processes to fan the cells out over
+            (:func:`map_cells`); ``None`` or 1 runs sequentially
+            in-process. The parallel path produces cell-for-cell
+            identical results (the cells are independent and
+            individually deterministic).
         trace: optional :class:`~repro.obs.trace.TraceRecorder` the grid
             records into — every cell runs its own source-tagged
             recorder (``scheme@interval``), absorbed here in cell order,
@@ -180,9 +234,6 @@ def run_grid(profile: ExperimentProfile, use_cache: bool = True,
             recorders) and are not cached; the tables stay
             byte-identical either way.
     """
-    worker_count = 1 if jobs is None else int(jobs)
-    if worker_count < 1:
-        raise ExperimentError(f"jobs must be >= 1, got {jobs}")
     traced = trace is not None
     if use_cache and not traced and profile in _GRID_CACHE:
         _GRID_CACHE.move_to_end(profile)
@@ -192,19 +243,9 @@ def run_grid(profile: ExperimentProfile, use_cache: bool = True,
         for interarrival in profile.interarrival_times_s
         for scheme_name in profile.schemes
     ]
-    if worker_count == 1:
-        system = build_system(profile)
-        cells = [
-            run_cell(system, profile, scheme_name, interarrival,
-                     trace=traced)
-            for _, scheme_name, interarrival, _ in tasks
-        ]
-    else:
-        with ProcessPoolExecutor(
-                max_workers=min(worker_count, len(tasks))) as executor:
-            # executor.map preserves task order, so the grid's insertion
-            # order — and therefore every table — matches the sequential run.
-            cells = list(executor.map(_run_cell_task, tasks))
+    # map_cells keeps task order, so the grid's insertion order — and
+    # therefore every table — is the same at any job count.
+    cells = map_cells(_run_cell_task, tasks, jobs)
     if traced:
         for cell in cells:
             if cell.trace is not None:

@@ -18,20 +18,21 @@ Shocks move *state* (structures destroyed, prices scaled, budgets
 squeezed), never money: a run whose audit is not exact is a bug, not a
 tolerance problem.
 
-``run_shock_resilience`` fans cells over worker processes exactly like
-:func:`repro.experiments.tenants.run_tenant_experiment` — each cell is
-deterministic, so the parallel tables are byte-identical.
+``run_shock_resilience`` fans cells over worker processes through
+:func:`repro.experiments.runner.map_cells`, the one fan-out every
+experiment uses — each cell is deterministic, so the parallel tables are
+byte-identical, and pooled cells' warnings are replayed in cell order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import functools
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.economy.account import CloudAccount, ledger_fold
 from repro.errors import ExperimentError
 from repro.experiments.reporting import format_table
+from repro.experiments.runner import map_cells
 from repro.experiments.tenants import (
     TenantCellResult,
     TenantExperimentConfig,
@@ -113,21 +114,12 @@ def audited_shock_cell(
                                            metrics=metrics)
     if registry is None:
         return cell, None
-    engine = scheme.engine
-    banked = engine.account.totals_by_category().get(
-        CloudAccount.CATEGORY_QUERY_PAYMENT, 0.0)
-    charged = 0.0
-    for outcome in engine.outcomes:
-        charged += outcome.charge
-    mismatches = registry.archived_ledger_mismatches + sum(
-        1 for state in registry.states()
-        if ledger_fold(state.account) != state.account.credit
-    )
+    banked, charged = scheme.engine.payment_folds()
     audit = ConservationAudit(
         query_payments=banked,
         outcome_charges=charged,
         wallets_audited=len(registry),
-        wallet_ledger_mismatches=mismatches,
+        wallet_ledger_mismatches=registry.wallet_ledger_mismatches(),
     )
     return cell, audit
 
@@ -157,9 +149,10 @@ def run_shock_resilience(configs: Sequence[TenantExperimentConfig],
         configs: the *shocked* cells (their ``shocks`` field is the fault
             sequence; the clean twin is derived with
             :func:`baseline_config`).
-        jobs: worker processes; ``None`` or 1 runs sequentially. Each
-            pair is deterministic, so the parallel results are
-            byte-identical and come back in ``configs`` order.
+        jobs: worker processes (:func:`~repro.experiments.runner.map_cells`);
+            ``None`` or 1 runs sequentially. Each pair is deterministic,
+            so the parallel results are byte-identical and come back in
+            ``configs`` order.
         trace: optional :class:`~repro.obs.trace.TraceRecorder` recording
             the shocked cells (the clean twins stay unobserved); observed
             runs execute sequentially so records land in one recorder —
@@ -169,8 +162,6 @@ def run_shock_resilience(configs: Sequence[TenantExperimentConfig],
             contract.
     """
     cells = list(configs)
-    if not cells:
-        raise ExperimentError("at least one shocked cell is required")
     for config in cells:
         if not config.shocks and not config.strict_maintenance:
             raise ExperimentError(
@@ -178,17 +169,9 @@ def run_shock_resilience(configs: Sequence[TenantExperimentConfig],
                 f"(no shocks, strict_maintenance off); a resilience pair "
                 f"needs at least one"
             )
-    worker_count = 1 if jobs is None else int(jobs)
-    if worker_count < 1:
-        raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-    if trace is not None or metrics is not None:
-        return [_resilience_pair(config, trace=trace, metrics=metrics)
-                for config in cells]
-    if worker_count == 1 or len(cells) == 1:
-        return [_resilience_pair(config) for config in cells]
-    with ProcessPoolExecutor(
-            max_workers=min(worker_count, len(cells))) as executor:
-        return list(executor.map(_resilience_pair, cells))
+    observed = trace is not None or metrics is not None
+    pair = functools.partial(_resilience_pair, trace=trace, metrics=metrics)
+    return map_cells(pair, cells, 1 if observed else jobs)
 
 
 # -- tables --------------------------------------------------------------------

@@ -3,9 +3,9 @@
 One cell = one scheme replayed over a Zipf-skewed, optionally churning
 tenant population. Cells are independent — each rebuilds its system,
 population, and registry deterministically from the frozen config — so a
-multi-scheme run fans out over a ``ProcessPoolExecutor`` exactly like the
-figure grids, and the parallel tables are byte-identical to sequential
-ones. (Partitioning the cache and provider economy themselves, with
+multi-scheme run fans out through
+:func:`~repro.experiments.runner.map_cells`, the figure grids' fan-out,
+and the parallel tables and warnings are identical to sequential ones. (Partitioning the cache and provider economy themselves, with
 explicitly different semantics, lives in :mod:`repro.distcache` and is
 reached through the CLI's ``--cache-partitions`` or
 :func:`repro.distcache.run_partitioned_cell`.)
@@ -18,7 +18,7 @@ whose engine runs the multi-tenant economy).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -26,6 +26,7 @@ from repro.economy.engine import EconomyConfig
 from repro.economy.tenancy import GenerativeTenantRegistry
 from repro.errors import ExperimentError
 from repro.experiments.reporting import distribution_cells, format_table
+from repro.experiments.runner import map_cells
 from repro.policies.economic import EconomicSchemeConfig
 from repro.policies.factory import SCHEME_NAMES
 from repro.simulator.events import Event
@@ -299,9 +300,10 @@ def run_tenant_experiment(configs: Sequence[TenantExperimentConfig],
 
     Args:
         configs: the cells to run (typically one per scheme).
-        jobs: worker processes; ``None`` or 1 runs sequentially. Results
-            come back in ``configs`` order either way, and each cell is
-            deterministic, so the parallel path is byte-identical.
+        jobs: worker processes (:func:`~repro.experiments.runner.map_cells`);
+            ``None`` or 1 runs sequentially. Results come back in
+            ``configs`` order either way, and each cell is deterministic,
+            so the parallel path is byte-identical.
         trace: optional :class:`~repro.obs.trace.TraceRecorder` the whole
             experiment records into. Traced cells run sequentially so
             records land in one recorder — the cell *results* are
@@ -309,20 +311,9 @@ def run_tenant_experiment(configs: Sequence[TenantExperimentConfig],
         metrics: optional :class:`~repro.obs.metrics.MetricsTimeseries`
             handled like ``trace`` (observed cells run sequentially).
     """
-    cells = list(configs)
-    if not cells:
-        raise ExperimentError("at least one tenant cell is required")
-    worker_count = 1 if jobs is None else int(jobs)
-    if worker_count < 1:
-        raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-    if trace is not None or metrics is not None:
-        return [run_tenant_cell(config, trace=trace, metrics=metrics)
-                for config in cells]
-    if worker_count == 1 or len(cells) == 1:
-        return [run_tenant_cell(config) for config in cells]
-    with ProcessPoolExecutor(
-            max_workers=min(worker_count, len(cells))) as executor:
-        return list(executor.map(run_tenant_cell, cells))
+    observed = trace is not None or metrics is not None
+    cell = functools.partial(run_tenant_cell, trace=trace, metrics=metrics)
+    return map_cells(cell, configs, 1 if observed else jobs)
 
 
 # -- tables --------------------------------------------------------------------

@@ -120,6 +120,20 @@ class TestShocksScalingModes:
         assert sequential.count("conservation: exact across 2 partitions") \
             == 2
 
+    def test_pooled_cells_keep_the_degenerate_grammar_warning(self, capsys):
+        args = ["shocks", "--schemes", "econ-col,econ-cheap",
+                "--n-tenants", "6", "--queries", "30",
+                "--interarrival", "5.0",
+                "--class", "ghost:0:q6_forecast_revenue"]
+        assert main(args + ["--jobs", "1"]) == 0
+        sequential = capsys.readouterr()
+        assert main(args + ["--jobs", "2"]) == 0
+        pooled = capsys.readouterr()
+        assert sequential.err == ("warning: degenerate grammar: dropping "
+                                  "zero-weight query class(es) ghost\n")
+        assert pooled.err == sequential.err
+        assert pooled.out == sequential.out
+
     def test_adaptive_placement_composes_with_shocks(self, capsys):
         assert main(ARGS + ["--cache-partitions", "2",
                             "--placement", "adaptive"]) == 0

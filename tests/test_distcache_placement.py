@@ -287,8 +287,6 @@ class TestAdaptiveRuns:
             DistCacheRunner(2, handoff_threshold=-0.5)
         with pytest.raises(DistCacheError, match="handoff_threshold"):
             DistCacheRunner(2, handoff_threshold=float("nan"))
-        with pytest.raises(DistCacheError, match="anchor_period"):
-            DistCacheRunner(2, anchor_period=0)
 
 
 class TestHashModeRegression:

@@ -11,8 +11,9 @@ from repro.distcache import (
     distcache_partition_table,
     run_partitioned_cell,
     run_partitioned_experiment,
+    verify_wallet_integrity,
 )
-from repro.errors import DistCacheError
+from repro.errors import DistCacheError, ExperimentError
 from repro.experiments.tenants import (
     TenantExperimentConfig,
     run_tenant_cell,
@@ -127,6 +128,27 @@ class TestAudits:
         assert (two_partitions.cell.summary.cache_hit_rate
                 <= baseline.summary.cache_hit_rate)
 
+    def test_wallet_audit_counts_resident_and_churned_wallets(self):
+        from repro.economy.account import Transaction
+        from repro.economy.tenancy import GenerativeTenantRegistry
+        from repro.workload.population import (GenerativeProfileSource,
+                                               PopulationSpec)
+
+        registry = GenerativeTenantRegistry(GenerativeProfileSource(
+            PopulationSpec(tenant_count=4, initial_credit=10.0)))
+        for tenant_id in ("t00000", "t00001"):
+            registry.activate(tenant_id, now=0.0)
+            registry.charge(tenant_id, 2.5, now=1.0)
+        verify_wallet_integrity([registry])
+        registry.state("t00000").account._transactions.append(
+            Transaction(time_s=2.0, category="tampered", amount=0.25))
+        assert registry.wallet_ledger_mismatches() == 1
+        # Churn drops the ledger; the fold taken then still counts.
+        registry.deactivate("t00000", now=3.0)
+        assert registry.wallet_ledger_mismatches() == 1
+        with pytest.raises(DistCacheError, match="1 wallets"):
+            verify_wallet_integrity([registry])
+
 
 class TestReportTables:
     def test_partition_table_renders(self, two_partitions):
@@ -164,10 +186,10 @@ class TestGuards:
     def test_invalid_counts_rejected(self):
         with pytest.raises(DistCacheError):
             DistCacheRunner(0)
-        with pytest.raises(DistCacheError):
-            DistCacheRunner(2, max_workers=0)
-        with pytest.raises(DistCacheError):
-            DistCacheRunner(2).run_cells([])
+        with pytest.raises(ExperimentError, match="jobs"):
+            run_partitioned_experiment([CONFIG], partitions=2, jobs=0)
+        with pytest.raises(ExperimentError, match="at least one cell"):
+            run_partitioned_experiment([], partitions=2)
 
     def test_imbalance_warns_when_partitions_exceed_templates(self):
         config = TenantExperimentConfig(
@@ -186,6 +208,7 @@ class TestMultiCell:
             TenantExperimentConfig(scheme="econ-fast", tenant_count=8,
                                    query_count=24, settlement_period_s=10.0),
         ]
-        reports = DistCacheRunner(2, compare_baseline=False).run_cells(configs)
+        reports = run_partitioned_experiment(configs, partitions=2,
+                                             compare_baseline=False)
         assert [r.cell.summary.scheme_name for r in reports] == [
             "econ-cheap", "econ-fast"]

@@ -1,5 +1,7 @@
 """Tests for the experiment profiles, runner, figures and reporting."""
 
+import warnings
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -8,7 +10,13 @@ from repro.experiments.figure4 import figure4_rows, figure4_table
 from repro.experiments.figure5 import figure5_rows, figure5_table
 from repro.experiments.headline import headline_ratios, headline_table
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import build_system, clear_grid_cache, run_cell, run_grid
+from repro.experiments.runner import (
+    build_system,
+    clear_grid_cache,
+    map_cells,
+    run_cell,
+    run_grid,
+)
 
 
 #: A deliberately tiny profile so the experiment machinery can be exercised
@@ -19,6 +27,19 @@ TINY_PROFILE = ExperimentProfile(
     interarrival_times_s=(1.0, 30.0),
     schemes=("bypass", "econ-col", "econ-cheap", "econ-fast"),
 )
+
+
+class _CellWarning(UserWarning):
+    """The warning :func:`_warning_cell` raises."""
+
+
+def _square(value):
+    return value * value
+
+
+def _warning_cell(value):
+    warnings.warn("cell warning", _CellWarning)
+    return value
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +128,28 @@ class TestRunner:
         assert small[0] not in runner._GRID_CACHE
         assert small[-1] in runner._GRID_CACHE
         clear_grid_cache()
+
+
+class TestMapCells:
+    @pytest.mark.parametrize("jobs", [None, 1, 2, 8])
+    def test_results_keep_input_order(self, jobs):
+        assert map_cells(_square, [3, 1, 2, 5], jobs) == [9, 1, 4, 25]
+
+    def test_invalid_jobs_and_empty_cells_rejected(self):
+        with pytest.raises(ExperimentError, match="jobs"):
+            map_cells(_square, [1, 2], jobs=0)
+        with pytest.raises(ExperimentError, match="at least one cell"):
+            map_cells(_square, [], jobs=2)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_warning_two_cells_raise_shows_once(self, jobs):
+        # Pooled cells record their warnings and the parent replays them
+        # through one registry, so "default" dedupes them as in process.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default", _CellWarning)
+            assert map_cells(_warning_cell, [1, 2], jobs) == [1, 2]
+        assert [(entry.category, str(entry.message)) for entry in caught] \
+            == [(_CellWarning, "cell warning")]
 
 
 class TestParallelRunner:
